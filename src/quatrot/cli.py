@@ -82,12 +82,16 @@ def _parse_numbers_plain(text: str):
     return rows
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
 def parse_matrix(text: str, fmt: str) -> np.ndarray:
     if fmt == "json":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
+        payload = _load_json(text)
         if not isinstance(payload, dict) or "matrix" not in payload:
             raise ParseError('expected an object with a "matrix" key')
         rows = payload["matrix"]
@@ -113,10 +117,7 @@ def _quat_from_obj(obj) -> np.ndarray:
 
 def parse_quaternion(text: str, fmt: str) -> np.ndarray:
     if fmt == "json":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
+        payload = _load_json(text)
         if isinstance(payload, dict) and "quaternion" in payload:
             payload = payload["quaternion"]
         return _quat_from_obj(payload)
@@ -129,10 +130,7 @@ def parse_quaternion(text: str, fmt: str) -> np.ndarray:
 
 def parse_quaternion_pair(text: str, fmt: str):
     if fmt == "json":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
+        payload = _load_json(text)
         if not isinstance(payload, dict) or "left" not in payload or "right" not in payload:
             raise ParseError('expected an object with "left" and "right" quaternions')
         return _quat_from_obj(payload["left"]), _quat_from_obj(payload["right"])
@@ -160,6 +158,12 @@ def _require_dim(m, dim, command):
         raise ParseError(f"{command} needs a {dim}x{dim} matrix, got {m.shape[0]}x{m.shape[0]}")
 
 
+def _extract(m, kind, tol):
+    if kind is IsometryKind.ROTATION:
+        return rot3.extract_rotation(m, tol)
+    return rot3.extract_rotoreflection(m, tol)
+
+
 def _cmd_mat2quat(args, text):
     m = parse_matrix(text, args.format)
     _require_dim(m, 3, "mat2quat")
@@ -172,10 +176,7 @@ def _cmd_mat2quat(args, text):
             kind = rot3.classify(m, args.tol)
         except NotOrthogonal as exc:
             raise NotARotation(str(exc)) from exc
-    if kind is IsometryKind.ROTATION:
-        result = rot3.extract_rotation(m, args.tol)
-    else:
-        result = rot3.extract_rotoreflection(m, args.tol)
+    result = _extract(m, kind, args.tol)
     return {
         "quaternion": _quat_obj(result.params),
         "residual": result.residual,
@@ -243,10 +244,7 @@ def _cmd_verify(args, text):
     report = check_orthonormal(m, args.tol)
     if m.shape == (3, 3):
         kind = rot3.classify(m, args.tol)
-        if kind is IsometryKind.ROTATION:
-            result = rot3.extract_rotation(m, args.tol)
-        else:
-            result = rot3.extract_rotoreflection(m, args.tol)
+        result = _extract(m, kind, args.tol)
         angle = rot3.rotation_angle(m, kind, args.tol)
         ok = report.max_abs_gram_deviation <= args.tol and result.residual <= args.tol
         return {

@@ -1,13 +1,4 @@
-"""Batch kernels for the hot numeric loops.
-
-Two interchangeable backends compute the same results:
-
-  * numba: @njit compiled per-item loops (default when numba imports);
-  * numpy: fully vectorized fallback, always available.
-
-Set QUATROT_NO_NUMBA=1 to force the numpy path; ``BACKEND`` records which
-one is live. The numpy implementations are always importable under their
-``_np_`` names so the benchmark and tests can compare backends directly.
+"""Batch kernels for the hot numeric loops, vectorized with numpy.
 
 These kernels trust their inputs (float64 arrays of the right shape,
 rows already rotations where that matters) and report residuals instead
@@ -18,30 +9,12 @@ matrices (n, 3, 3) or (n, 4, 4).
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_SIGN_EPS = 1e-12
-
-_want_numba = os.environ.get("QUATROT_NO_NUMBA", "") not in ("1", "true", "yes")
-if _want_numba:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
+from .linalg import SIGN_EPS
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-def _np_batch_euler_rodrigues(q: np.ndarray) -> np.ndarray:
+def batch_euler_rodrigues(q: np.ndarray) -> np.ndarray:
     a, b, c, d = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
     out = np.empty((q.shape[0], 3, 3))
     out[:, 0, 0] = a * a + b * b - c * c - d * d
@@ -56,20 +29,21 @@ def _np_batch_euler_rodrigues(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _np_canonical_signs(q: np.ndarray) -> np.ndarray:
-    """Per-row sign making the first component above 1e-12 positive."""
+def _canonical_signs(q: np.ndarray) -> np.ndarray:
+    """Per-row ``linalg.canonical_sign``, vectorized: the sign that makes
+    the first component with magnitude above SIGN_EPS positive."""
     n = q.shape[0]
     sign = np.ones(n)
     decided = np.zeros(n, dtype=bool)
     for i in range(4):
         comp = q[:, i]
-        newly = ~decided & (np.abs(comp) > _SIGN_EPS)
+        newly = ~decided & (np.abs(comp) > SIGN_EPS)
         sign = np.where(newly & (comp < 0.0), -1.0, sign)
         decided |= newly
     return sign
 
 
-def _np_batch_extract_rotation(m: np.ndarray):
+def batch_extract_rotation(m: np.ndarray):
     n = m.shape[0]
     m00, m01, m02 = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
     m10, m11, m12 = m[:, 1, 0], m[:, 1, 1], m[:, 1, 2]
@@ -110,11 +84,11 @@ def _np_batch_extract_rotation(m: np.ndarray):
     lhs = np.stack([a * a, b * b, c * c, d * d, a * b, a * c, a * d, c * d, d * b, b * c], 1)
     rhs = np.concatenate([squares, np.stack([ab, ac, ad, cd, db, bc], 1)], axis=1)
     residual = np.max(np.abs(lhs - rhs), axis=1)
-    q = q * _np_canonical_signs(q)[:, None]
+    q = q * _canonical_signs(q)[:, None]
     return q, branch.astype(np.int64), residual
 
 
-def _np_left_matrices(l: np.ndarray) -> np.ndarray:
+def _left_matrices(l: np.ndarray) -> np.ndarray:
     a, b, c, d = l[:, 0], l[:, 1], l[:, 2], l[:, 3]
     out = np.empty((l.shape[0], 4, 4))
     out[:, 0, 0], out[:, 0, 1], out[:, 0, 2], out[:, 0, 3] = a, -b, -c, -d
@@ -124,7 +98,7 @@ def _np_left_matrices(l: np.ndarray) -> np.ndarray:
     return out
 
 
-def _np_right_matrices(r: np.ndarray) -> np.ndarray:
+def _right_matrices(r: np.ndarray) -> np.ndarray:
     p, q, r_, s = r[:, 0], r[:, 1], r[:, 2], r[:, 3]
     out = np.empty((r.shape[0], 4, 4))
     out[:, 0, 0], out[:, 0, 1], out[:, 0, 2], out[:, 0, 3] = p, -q, -r_, -s
@@ -134,11 +108,11 @@ def _np_right_matrices(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _np_batch_compose_4d(l: np.ndarray, r: np.ndarray) -> np.ndarray:
-    return np.matmul(_np_left_matrices(l), _np_right_matrices(r))
+def batch_compose_4d(l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    return np.matmul(_left_matrices(l), _right_matrices(r))
 
 
-def _np_batch_associate_matrix(a: np.ndarray) -> np.ndarray:
+def batch_associate_matrix(a: np.ndarray) -> np.ndarray:
     out = np.empty_like(a)
     out[:, 0, 0] = a[:, 0, 0] + a[:, 1, 1] + a[:, 2, 2] + a[:, 3, 3]
     out[:, 0, 1] = a[:, 1, 0] - a[:, 0, 1] - a[:, 3, 2] + a[:, 2, 3]
@@ -160,8 +134,8 @@ def _np_batch_associate_matrix(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _np_batch_decompose_4d(a: np.ndarray):
-    m = _np_batch_associate_matrix(a)
+def batch_decompose_4d(a: np.ndarray):
+    m = batch_associate_matrix(a)
     scale = np.sqrt(np.sum(m * m, axis=(1, 2)))
     col_norms = np.sqrt(np.sum(m * m, axis=1))
     jmax = np.argmax(col_norms, axis=1)
@@ -176,235 +150,8 @@ def _np_batch_decompose_4d(a: np.ndarray):
     rank1_residual = np.sqrt(
         np.sum((m - scale[:, None, None] * u[:, :, None] * v[:, None, :]) ** 2, axis=(1, 2))
     )
-    sign = _np_canonical_signs(u)
+    sign = _canonical_signs(u)
     u = u * sign[:, None]
     v = v * sign[:, None]
-    recon_error = np.sqrt(np.sum((a - _np_batch_compose_4d(u, v)) ** 2, axis=(1, 2)))
+    recon_error = np.sqrt(np.sum((a - batch_compose_4d(u, v)) ** 2, axis=(1, 2)))
     return u, v, rank1_residual, recon_error
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _nb_batch_euler_rodrigues(q):
-        n = q.shape[0]
-        out = np.empty((n, 3, 3))
-        for i in range(n):
-            a, b, c, d = q[i, 0], q[i, 1], q[i, 2], q[i, 3]
-            out[i, 0, 0] = a * a + b * b - c * c - d * d
-            out[i, 0, 1] = -2 * a * d + 2 * b * c
-            out[i, 0, 2] = 2 * a * c + 2 * b * d
-            out[i, 1, 0] = 2 * a * d + 2 * b * c
-            out[i, 1, 1] = a * a - b * b + c * c - d * d
-            out[i, 1, 2] = -2 * a * b + 2 * c * d
-            out[i, 2, 0] = -2 * a * c + 2 * b * d
-            out[i, 2, 1] = 2 * a * b + 2 * c * d
-            out[i, 2, 2] = a * a - b * b - c * c + d * d
-        return out
-
-    @njit(cache=True)
-    def _nb_canonical_sign_inplace(q, row):
-        for i in range(4):
-            if abs(q[row, i]) > _SIGN_EPS:
-                if q[row, i] < 0.0:
-                    for j in range(4):
-                        q[row, j] = -q[row, j]
-                return
-
-    @njit(cache=True)
-    def _nb_batch_extract_rotation(m):
-        n = m.shape[0]
-        q = np.empty((n, 4))
-        branch = np.empty(n, dtype=np.int64)
-        residual = np.empty(n)
-        for i in range(n):
-            m00, m01, m02 = m[i, 0, 0], m[i, 0, 1], m[i, 0, 2]
-            m10, m11, m12 = m[i, 1, 0], m[i, 1, 1], m[i, 1, 2]
-            m20, m21, m22 = m[i, 2, 0], m[i, 2, 1], m[i, 2, 2]
-            t0 = (1 + m00 + m11 + m22) / 4
-            t1 = (1 + m00 - m11 - m22) / 4
-            t2 = (1 - m00 + m11 - m22) / 4
-            t3 = (1 - m00 - m11 + m22) / 4
-            ab = (m21 - m12) / 4
-            ac = (m02 - m20) / 4
-            ad = (m10 - m01) / 4
-            cd = (m21 + m12) / 4
-            db = (m02 + m20) / 4
-            bc = (m10 + m01) / 4
-            k = 0
-            best = t0
-            if t1 > best:
-                k, best = 1, t1
-            if t2 > best:
-                k, best = 2, t2
-            if t3 > best:
-                k, best = 3, t3
-            s = math.sqrt(max(best, 0.0))
-            if k == 0:
-                a, b, c, d = s, ab / s, ac / s, ad / s
-            elif k == 1:
-                a, b, c, d = ab / s, s, bc / s, db / s
-            elif k == 2:
-                a, b, c, d = ac / s, bc / s, s, cd / s
-            else:
-                a, b, c, d = ad / s, db / s, cd / s, s
-            res = abs(a * a - t0)
-            for diff in (
-                abs(b * b - t1),
-                abs(c * c - t2),
-                abs(d * d - t3),
-                abs(a * b - ab),
-                abs(a * c - ac),
-                abs(a * d - ad),
-                abs(c * d - cd),
-                abs(d * b - db),
-                abs(b * c - bc),
-            ):
-                if diff > res:
-                    res = diff
-            q[i, 0], q[i, 1], q[i, 2], q[i, 3] = a, b, c, d
-            _nb_canonical_sign_inplace(q, i)
-            branch[i] = k
-            residual[i] = res
-        return q, branch, residual
-
-    @njit(cache=True)
-    def _nb_fill_left(out, i, a, b, c, d):
-        out[i, 0, 0], out[i, 0, 1], out[i, 0, 2], out[i, 0, 3] = a, -b, -c, -d
-        out[i, 1, 0], out[i, 1, 1], out[i, 1, 2], out[i, 1, 3] = b, a, -d, c
-        out[i, 2, 0], out[i, 2, 1], out[i, 2, 2], out[i, 2, 3] = c, d, a, -b
-        out[i, 3, 0], out[i, 3, 1], out[i, 3, 2], out[i, 3, 3] = d, -c, b, a
-
-    @njit(cache=True)
-    def _nb_batch_compose_4d(l, r):
-        n = l.shape[0]
-        ml = np.empty((n, 4, 4))
-        mr = np.empty((n, 4, 4))
-        out = np.empty((n, 4, 4))
-        for i in range(n):
-            _nb_fill_left(ml, i, l[i, 0], l[i, 1], l[i, 2], l[i, 3])
-            p, q, r_, s = r[i, 0], r[i, 1], r[i, 2], r[i, 3]
-            mr[i, 0, 0], mr[i, 0, 1], mr[i, 0, 2], mr[i, 0, 3] = p, -q, -r_, -s
-            mr[i, 1, 0], mr[i, 1, 1], mr[i, 1, 2], mr[i, 1, 3] = q, p, s, -r_
-            mr[i, 2, 0], mr[i, 2, 1], mr[i, 2, 2], mr[i, 2, 3] = r_, -s, p, q
-            mr[i, 3, 0], mr[i, 3, 1], mr[i, 3, 2], mr[i, 3, 3] = s, r_, -q, p
-            for row in range(4):
-                for col in range(4):
-                    acc = 0.0
-                    for k in range(4):
-                        acc += ml[i, row, k] * mr[i, k, col]
-                    out[i, row, col] = acc
-        return out
-
-    @njit(cache=True)
-    def _nb_batch_associate_matrix(a):
-        n = a.shape[0]
-        out = np.empty((n, 4, 4))
-        for i in range(n):
-            out[i, 0, 0] = a[i, 0, 0] + a[i, 1, 1] + a[i, 2, 2] + a[i, 3, 3]
-            out[i, 0, 1] = a[i, 1, 0] - a[i, 0, 1] - a[i, 3, 2] + a[i, 2, 3]
-            out[i, 0, 2] = a[i, 2, 0] + a[i, 3, 1] - a[i, 0, 2] - a[i, 1, 3]
-            out[i, 0, 3] = a[i, 3, 0] - a[i, 2, 1] + a[i, 1, 2] - a[i, 0, 3]
-            out[i, 1, 0] = a[i, 1, 0] - a[i, 0, 1] + a[i, 3, 2] - a[i, 2, 3]
-            out[i, 1, 1] = -a[i, 0, 0] - a[i, 1, 1] + a[i, 2, 2] + a[i, 3, 3]
-            out[i, 1, 2] = a[i, 3, 0] - a[i, 2, 1] - a[i, 1, 2] + a[i, 0, 3]
-            out[i, 1, 3] = -a[i, 2, 0] - a[i, 3, 1] - a[i, 0, 2] - a[i, 1, 3]
-            out[i, 2, 0] = a[i, 2, 0] - a[i, 3, 1] - a[i, 0, 2] + a[i, 1, 3]
-            out[i, 2, 1] = -a[i, 3, 0] - a[i, 2, 1] - a[i, 1, 2] - a[i, 0, 3]
-            out[i, 2, 2] = -a[i, 0, 0] + a[i, 1, 1] - a[i, 2, 2] + a[i, 3, 3]
-            out[i, 2, 3] = a[i, 1, 0] + a[i, 0, 1] - a[i, 3, 2] - a[i, 2, 3]
-            out[i, 3, 0] = a[i, 3, 0] + a[i, 2, 1] - a[i, 1, 2] - a[i, 0, 3]
-            out[i, 3, 1] = a[i, 2, 0] - a[i, 3, 1] + a[i, 0, 2] - a[i, 1, 3]
-            out[i, 3, 2] = -a[i, 1, 0] - a[i, 0, 1] - a[i, 3, 2] - a[i, 2, 3]
-            out[i, 3, 3] = -a[i, 0, 0] + a[i, 1, 1] + a[i, 2, 2] - a[i, 3, 3]
-            for row in range(4):
-                for col in range(4):
-                    out[i, row, col] *= 0.25
-        return out
-
-    @njit(cache=True)
-    def _nb_batch_decompose_4d(a):
-        n = a.shape[0]
-        m = _nb_batch_associate_matrix(a)
-        left = np.empty((n, 4))
-        right = np.empty((n, 4))
-        rank1_residual = np.empty(n)
-        recon_error = np.empty(n)
-        for i in range(n):
-            fro2 = 0.0
-            for row in range(4):
-                for col in range(4):
-                    fro2 += m[i, row, col] * m[i, row, col]
-            scale = math.sqrt(fro2)
-            jmax = 0
-            best = -1.0
-            for col in range(4):
-                cn = 0.0
-                for row in range(4):
-                    cn += m[i, row, col] * m[i, row, col]
-                if cn > best:
-                    best, jmax = cn, col
-            u = np.empty(4)
-            for row in range(4):
-                u[row] = m[i, row, jmax]
-            u /= np.sqrt(np.sum(u * u))
-            v = np.empty(4)
-            for col in range(4):
-                acc = 0.0
-                for row in range(4):
-                    acc += m[i, row, col] * u[row]
-                v[col] = acc
-            v /= np.sqrt(np.sum(v * v))
-            for row in range(4):
-                acc = 0.0
-                for col in range(4):
-                    acc += m[i, row, col] * v[col]
-                u[row] = acc
-            u /= np.sqrt(np.sum(u * u))
-            for col in range(4):
-                acc = 0.0
-                for row in range(4):
-                    acc += m[i, row, col] * u[row]
-                v[col] = acc
-            v /= np.sqrt(np.sum(v * v))
-            res2 = 0.0
-            for row in range(4):
-                for col in range(4):
-                    diff = m[i, row, col] - scale * u[row] * v[col]
-                    res2 += diff * diff
-            rank1_residual[i] = math.sqrt(res2)
-            for comp in range(4):
-                if abs(u[comp]) > _SIGN_EPS:
-                    if u[comp] < 0.0:
-                        u = -u
-                        v = -v
-                    break
-            left[i] = u
-            right[i] = v
-        recon = _nb_batch_compose_4d(left, right)
-        for i in range(n):
-            err2 = 0.0
-            for row in range(4):
-                for col in range(4):
-                    diff = a[i, row, col] - recon[i, row, col]
-                    err2 += diff * diff
-            recon_error[i] = math.sqrt(err2)
-        return left, right, rank1_residual, recon_error
-
-    BACKEND = "numba"
-    batch_euler_rodrigues = _nb_batch_euler_rodrigues
-    batch_extract_rotation = _nb_batch_extract_rotation
-    batch_compose_4d = _nb_batch_compose_4d
-    batch_associate_matrix = _nb_batch_associate_matrix
-    batch_decompose_4d = _nb_batch_decompose_4d
-else:
-    BACKEND = "numpy"
-    batch_euler_rodrigues = _np_batch_euler_rodrigues
-    batch_extract_rotation = _np_batch_extract_rotation
-    batch_compose_4d = _np_batch_compose_4d
-    batch_associate_matrix = _np_batch_associate_matrix
-    batch_decompose_4d = _np_batch_decompose_4d

@@ -16,9 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput, ZeroMatrix
+from .errors import NonFiniteInput, QuatrotError, ZeroMatrix
 
 DEFAULT_TOL = 1e-9
+
+# Quaternions, quaternion pairs and rank-1 factors are defined up to a
+# global sign; the representative has its first component with magnitude
+# above SIGN_EPS positive. kernels._canonical_signs applies the same rule
+# per row.
+SIGN_EPS = 1e-12
 
 
 def _validated(a, shape, name: str) -> np.ndarray:
@@ -138,6 +144,27 @@ def check_orthonormal(m: np.ndarray, tol: float = DEFAULT_TOL) -> OrthogonalityR
     return OrthogonalityReport(deviation, det, tol)
 
 
+def _require_orthonormal(m, tol: float, error: type[QuatrotError]) -> OrthogonalityReport:
+    """check_orthonormal(m, tol), raising ``error`` when the Gram
+    deviation exceeds tol."""
+    report = check_orthonormal(m, tol)
+    if report.max_abs_gram_deviation > tol:
+        raise error(
+            f"orthogonality deviation {report.max_abs_gram_deviation:.3e} > tol {tol:.3e}"
+        )
+    return report
+
+
+def canonical_sign(q: np.ndarray) -> float:
+    """+1.0 or -1.0: the factor that makes the first component of q with
+    magnitude above SIGN_EPS positive (scanning in index order); +1.0
+    when no component is that large."""
+    for comp in q:
+        if abs(comp) > SIGN_EPS:
+            return -1.0 if comp < 0.0 else 1.0
+    return 1.0
+
+
 def rank1_factor(m: np.ndarray, tol: float = DEFAULT_TOL):
     """Factor a (near-)rank-1 4x4 matrix as scale * u v^T with unit u, v.
 
@@ -145,8 +172,9 @@ def rank1_factor(m: np.ndarray, tol: float = DEFAULT_TOL):
     column onto it for v, then runs one power-iteration-style refinement
     pass (v <- m^T u, u <- m v, renormalize) to suppress rounding noise.
     The scale is the Frobenius norm of m; the returned residual is
-    ||m - scale * u v^T||_F. Sign convention: the first component of u
-    with magnitude above tol is made positive, v absorbing the flip.
+    ||m - scale * u v^T||_F. Sign convention (canonical_sign): the first
+    component of u with magnitude above SIGN_EPS is made positive, v
+    absorbing the flip.
 
     Returns (u, v, residual). Raises ZeroMatrix when ||m||_F <= tol.
     """
@@ -163,11 +191,8 @@ def rank1_factor(m: np.ndarray, tol: float = DEFAULT_TOL):
     u = u / np.sqrt(np.sum(u * u))
     v = m.T @ u
     v = v / np.sqrt(np.sum(v * v))
-    for i in range(4):
-        if abs(u[i]) > tol:
-            if u[i] < 0.0:
-                u = -u
-                v = -v
-            break
+    sign = canonical_sign(u)
+    u = u * sign
+    v = v * sign
     residual = float(np.sqrt(np.sum((m - scale * np.outer(u, v)) ** 2)))
     return u, v, residual

@@ -20,11 +20,6 @@ from .linalg import as_vec4
 UNIT_WINDOW = 1e-6
 
 
-def as_quaternion(q) -> np.ndarray:
-    """Validate and copy a quaternion given as any length-4 sequence."""
-    return as_vec4(q)
-
-
 def as_unit(q) -> np.ndarray:
     """Validated unit quaternion; normalizes within the 1e-6 window."""
     q = as_vec4(q)
@@ -36,8 +31,8 @@ def as_unit(q) -> np.ndarray:
 
 def quat_mul(a, b) -> np.ndarray:
     """Hamilton product a * b."""
-    aw, ax, ay, az = as_quaternion(a)
-    bw, bx, by, bz = as_quaternion(b)
+    aw, ax, ay, az = as_vec4(a)
+    bw, bx, by, bz = as_vec4(b)
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -50,12 +45,12 @@ def quat_mul(a, b) -> np.ndarray:
 
 def conjugate(q) -> np.ndarray:
     """(w, -x, -y, -z)."""
-    w, x, y, z = as_quaternion(q)
+    w, x, y, z = as_vec4(q)
     return np.array([w, -x, -y, -z])
 
 
 def norm(q) -> float:
-    q = as_quaternion(q)
+    q = as_vec4(q)
     return float(np.sqrt(np.sum(q * q)))
 
 

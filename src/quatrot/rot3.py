@@ -30,10 +30,8 @@ from .errors import (
     NotOrthogonal,
     OriginPoint,
 )
-from .linalg import DEFAULT_TOL, as_mat3, check_orthonormal
+from .linalg import DEFAULT_TOL, _require_orthonormal, as_mat3, canonical_sign
 from .quaternion import as_unit
-
-SIGN_SCAN_EPS = 1e-12
 
 BRANCHES = ("A", "B", "C", "D")
 
@@ -86,11 +84,7 @@ def rotoreflection_matrix(q) -> np.ndarray:
 def classify(m, tol: float = DEFAULT_TOL) -> IsometryKind:
     """Rotation or rotoreflection, by the determinant of an orthogonal m."""
     m = as_mat3(m)
-    report = check_orthonormal(m, tol)
-    if report.max_abs_gram_deviation > tol:
-        raise NotOrthogonal(
-            f"orthogonality deviation {report.max_abs_gram_deviation:.3e} > tol {tol:.3e}"
-        )
+    report = _require_orthonormal(m, tol, NotOrthogonal)
     if abs(report.determinant - 1.0) <= tol:
         return IsometryKind.ROTATION
     if abs(report.determinant + 1.0) <= tol:
@@ -117,15 +111,6 @@ def _ten_equation_residual(m: np.ndarray, q: np.ndarray) -> float:
     return max(abs(l - r) for l, r in zip(lhs, rhs))
 
 
-def canonical_sign(q: np.ndarray) -> np.ndarray:
-    """Global sign representative: a >= 0, else first of b, c, d with
-    magnitude above 1e-12 made positive."""
-    for comp in q:
-        if abs(comp) > SIGN_SCAN_EPS:
-            return -q if comp < 0.0 else q
-    return q
-
-
 def extract_rotation(m, tol: float = DEFAULT_TOL, refine: bool = False) -> ExtractionResult:
     """Recover the rotation parameters of a 3x3 rotation matrix.
 
@@ -148,9 +133,8 @@ def extract_rotation(m, tol: float = DEFAULT_TOL, refine: bool = False) -> Extra
         raise NotARotation("determinant is -1; use extract_rotoreflection")
     result = _extract(m, tol)
     if refine:
-        result = ExtractionResult(
-            as_unit(result.params), result.branch, _ten_equation_residual(m, as_unit(result.params))
-        )
+        q = as_unit(result.params)
+        result = ExtractionResult(q, result.branch, _ten_equation_residual(m, q))
     return result
 
 
@@ -182,7 +166,7 @@ def _extract(m: np.ndarray, tol: float) -> ExtractionResult:
     residual = _ten_equation_residual(m, q)
     if residual > tol:
         raise InconsistentSystem(f"ten-equation residual {residual:.3e} > tol {tol:.3e}")
-    return ExtractionResult(canonical_sign(q), BRANCHES[k], residual)
+    return ExtractionResult(q * canonical_sign(q), BRANCHES[k], residual)
 
 
 def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) -> ExtractionResult:
@@ -201,11 +185,8 @@ def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) ->
         raise NotARotoreflection("determinant is +1; use extract_rotation")
     result = _extract(-m, tol)
     if refine:
-        result = ExtractionResult(
-            as_unit(result.params),
-            result.branch,
-            _ten_equation_residual(-m, as_unit(result.params)),
-        )
+        q = as_unit(result.params)
+        result = ExtractionResult(q, result.branch, _ten_equation_residual(-m, q))
     return result
 
 
@@ -214,11 +195,7 @@ def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleRepo
     for rotoreflections, clamped to [-1, 1] before arccos (the trace can
     overshoot by rounding)."""
     m = as_mat3(m)
-    report = check_orthonormal(m, tol)
-    if report.max_abs_gram_deviation > tol:
-        raise NotOrthogonal(
-            f"orthogonality deviation {report.max_abs_gram_deviation:.3e} > tol {tol:.3e}"
-        )
+    report = _require_orthonormal(m, tol, NotOrthogonal)
     trace = float(m[0, 0] + m[1, 1] + m[2, 2])
     if kind is IsometryKind.ROTATION:
         cos_alpha = (trace - 1.0) / 2.0
@@ -233,11 +210,7 @@ def embed_4d(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> np.ndarray:
     (rotoreflection) in the top-left corner, zero borders, m in the
     lower-right block. Both embeddings have det +1."""
     m = as_mat3(m)
-    report = check_orthonormal(m, tol)
-    if report.max_abs_gram_deviation > tol:
-        raise NotOrthogonal(
-            f"orthogonality deviation {report.max_abs_gram_deviation:.3e} > tol {tol:.3e}"
-        )
+    report = _require_orthonormal(m, tol, NotOrthogonal)
     expected = 1.0 if kind is IsometryKind.ROTATION else -1.0
     if abs(report.determinant - expected) > tol:
         raise KindMismatch(f"determinant {report.determinant!r} does not match kind {kind.value}")

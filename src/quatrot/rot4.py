@@ -16,10 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotARotation, RankDeficiency
-from .linalg import DEFAULT_TOL, as_mat4, check_orthonormal, mat_mul, rank1_factor
+from .linalg import (
+    DEFAULT_TOL,
+    _require_orthonormal,
+    as_mat4,
+    canonical_sign,
+    mat_mul,
+    rank1_factor,
+)
 from .quaternion import as_unit, left_matrix, right_matrix
-
-SIGN_SCAN_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -80,18 +85,6 @@ def associate_matrix(a) -> np.ndarray:
     )
 
 
-def canonical_pair(left: np.ndarray, right: np.ndarray):
-    """Pick the sign representative: first component of `left` with
-    magnitude above 1e-12 (scanning w, x, y, z) is made positive; `right`
-    flips with it so the product is unchanged."""
-    for i in range(4):
-        if abs(left[i]) > SIGN_SCAN_EPS:
-            if left[i] < 0.0:
-                return -left, -right
-            break
-    return left, right
-
-
 def decompose_4d(a, tol: float = DEFAULT_TOL) -> QuatPairDecomposition:
     """Recover the unit quaternion pair (L, R) of a 4D rotation matrix.
 
@@ -101,11 +94,7 @@ def decompose_4d(a, tol: float = DEFAULT_TOL) -> QuatPairDecomposition:
     sneaked past the orthogonality gate but is not a rotation).
     """
     a = as_mat4(a)
-    report = check_orthonormal(a, tol)
-    if report.max_abs_gram_deviation > tol:
-        raise NotARotation(
-            f"orthogonality deviation {report.max_abs_gram_deviation:.3e} > tol {tol:.3e}"
-        )
+    report = _require_orthonormal(a, tol, NotARotation)
     if abs(report.determinant - 1.0) > tol:
         raise NotARotation(f"determinant {report.determinant!r} is not +1")
     m = associate_matrix(a)
@@ -114,7 +103,10 @@ def decompose_4d(a, tol: float = DEFAULT_TOL) -> QuatPairDecomposition:
         raise RankDeficiency(f"rank-1 residual {residual:.3e} > tol {tol:.3e}")
     left = as_unit(u)
     right = as_unit(v)
-    left, right = canonical_pair(left, right)
+    # as_unit rescales, so the sign rule is applied again to the unit factors.
+    sign = canonical_sign(left)
+    left = left * sign
+    right = right * sign
     recon = compose_4d(left, right)
     err = float(np.sqrt(np.sum((a - recon) ** 2)))
     return QuatPairDecomposition(left, right, residual, err)

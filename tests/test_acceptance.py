@@ -239,7 +239,7 @@ def test_criterion_7_trace_formulas():
     )
 
 
-def test_criterion_8_cli_contract():
+def test_criterion_8_cli_contract(cli_env):
     base = [sys.executable, "-m", "quatrot"]
     failures = []
 
@@ -272,7 +272,7 @@ def test_criterion_8_cli_contract():
     }
     for name, (extra, stdin_text) in golden_inputs.items():
         proc = subprocess.run(
-            base + [name] + extra, input=stdin_text, capture_output=True, text=True
+            base + [name] + extra, input=stdin_text, capture_output=True, text=True, env=cli_env
         )
         expected = (GOLDEN_DIR / f"{name}.json").read_text()
         if proc.returncode != 0 or proc.stdout != expected:
@@ -285,14 +285,16 @@ def test_criterion_8_cli_contract():
         (["mat2quat"], json.dumps({"matrix": np.diag([2.0, 1.0, 1.0]).tolist()})),
         (["mat2quat", "--kind", "rotoreflection"], json.dumps({"matrix": np.eye(3).tolist()})),
     ):
-        proc = subprocess.run(base + args, input=stdin_text, capture_output=True, text=True)
+        proc = subprocess.run(
+            base + args, input=stdin_text, capture_output=True, text=True, env=cli_env
+        )
         if proc.returncode != 3:
             failures.append(f"{args} expected exit 3, got {proc.returncode}")
 
     # same-seed byte determinism
     cmd = base + ["random", "--seed", "4242", "--dim", "4"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
     if first.stdout != second.stdout:
         failures.append("seeded output not byte-identical")
 

@@ -183,9 +183,9 @@ def test_random_requires_seed(monkeypatch, capsys):
 
 # --- byte determinism through the real process boundary --------------------
 
-def test_same_seed_same_bytes():
+def test_same_seed_same_bytes(cli_env):
     cmd = [sys.executable, "-m", "quatrot", "random", "--seed", "31337", "--dim", "4"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
     assert first.stdout == second.stdout
     assert first.stdout

@@ -170,3 +170,15 @@ def test_rank1_sign_convention():
     assert u[0] > 0  # first significant component of u made positive
     np.testing.assert_allclose(u, -u0, atol=1e-15)
     np.testing.assert_allclose(v, -v0, atol=1e-15)
+
+
+def test_rank1_sign_scan_uses_sign_eps_not_tol():
+    # A leading component between SIGN_EPS (1e-12) and tol (1e-9) still
+    # decides the sign, as in decompose_4d and batch_decompose_4d.
+    u0 = np.array([5e-10, -0.6, 0.8, 0.0])
+    u0 /= np.sqrt(np.sum(u0 * u0))
+    v0 = np.array([1.0, 0.0, 0.0, 0.0])
+    u, v, _ = rank1_factor(np.outer(u0, v0), 1e-9)
+    assert u[0] > 0
+    np.testing.assert_allclose(u, u0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(v, v0, rtol=0, atol=1e-15)
