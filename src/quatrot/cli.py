@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rot3, rot4
 from .errors import NonFiniteInput, NotARotation, NotOrthogonal, NotUnit, QuatrotError
-from .linalg import check_orthonormal
+from .linalg import check_orthonormal, det3
 from .rng import random_rotation
 from .rot3 import IsometryKind
 
@@ -206,8 +206,7 @@ def _cmd_classify(args, text):
     m = parse_matrix(text, args.format)
     _require_dim(m, 3, "classify")
     kind = rot3.classify(m, args.tol)
-    det = check_orthonormal(m, args.tol).determinant
-    return {"kind": kind.value, "det": det}
+    return {"kind": kind.value, "det": det3(m)}
 
 
 def _cmd_angle(args, text):

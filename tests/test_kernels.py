@@ -87,6 +87,84 @@ def test_batch_decompose_matches_scalar(samples):
             np.testing.assert_allclose(got_r, r[i], rtol=0, atol=1e-13)
 
 
+def _noisy_stack(seed, n):
+    """Unit quaternion pairs with their 3x3 and 4x4 matrices; every fifth
+    matrix carries entrywise noise of at most 1e-13."""
+    g = np.random.default_rng(seed)
+    left = g.normal(size=(n, 4))
+    right = g.normal(size=(n, 4))
+    left /= np.linalg.norm(left, axis=1, keepdims=True)
+    right /= np.linalg.norm(right, axis=1, keepdims=True)
+    noisy = (np.arange(n) % 5 == 0)[:, None, None]
+    m3 = kernels.batch_euler_rodrigues(left) + noisy * g.uniform(-1e-13, 1e-13, (n, 3, 3))
+    m4 = kernels.batch_compose_4d(left, right) + noisy * g.uniform(-1e-13, 1e-13, (n, 4, 4))
+    return left, right, m3, m4
+
+
+def _kernel_calls(left, right, m3, m4):
+    """Each batch kernel with its input stacks, and the output shapes
+    (after the leading n) and dtypes it must return."""
+    f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
+    return {
+        "euler_rodrigues": (kernels.batch_euler_rodrigues, (left,), [((3, 3), f8)]),
+        "extract_rotation": (kernels.batch_extract_rotation, (m3,), [((4,), f8), ((), i8), ((), f8)]),
+        "compose_4d": (kernels.batch_compose_4d, (left, right), [((4, 4), f8)]),
+        "associate_matrix": (kernels.batch_associate_matrix, (m4,), [((4, 4), f8)]),
+        "decompose_4d": (kernels.batch_decompose_4d, (m4,), [((4,), f8), ((4,), f8), ((), f8), ((), f8)]),
+    }
+
+
+def _outputs(result):
+    return list(result) if isinstance(result, tuple) else [result]
+
+
+@pytest.fixture(scope="module")
+def block_stack():
+    return _noisy_stack(905, 2 * kernels._BLOCK + 3)
+
+
+@pytest.mark.parametrize("name", ["euler_rodrigues", "extract_rotation", "compose_4d", "associate_matrix", "decompose_4d"])
+def test_block_boundary_rows_match_the_row_alone(block_stack, name):
+    fn, args, _ = _kernel_calls(*block_stack)[name]
+    full = _outputs(fn(*args))
+    b = kernels._BLOCK
+    for i in (0, b - 1, b, b + 1, 2 * b, 2 * b + 2):
+        alone = _outputs(fn(*(x[i : i + 1] for x in args)))
+        for got, want in zip(full, alone):
+            assert np.array_equal(got[i], want[0]), (name, i)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_empty_and_single_row_shapes_and_dtypes(block_stack, n):
+    for name, (fn, args, spec) in _kernel_calls(*block_stack).items():
+        outs = _outputs(fn(*(x[:n] for x in args)))
+        assert [(o.shape, o.dtype) for o in outs] == [((n,) + shape, dt) for shape, dt in spec], name
+
+
+def test_strided_and_fortran_inputs_match_contiguous_copies(block_stack):
+    for name, (fn, args, _) in _kernel_calls(*block_stack).items():
+        for layout in (lambda x: x[::2], np.asfortranarray):
+            views = [layout(x) for x in args]
+            want = _outputs(fn(*(np.ascontiguousarray(v) for v in views)))
+            for got, expected in zip(_outputs(fn(*views)), want):
+                assert np.array_equal(got, expected), name
+
+
+def test_noisy_rows_match_scalar(block_stack):
+    _, _, m3, m4 = block_stack
+    rows = np.arange(0, 1000, 5)  # the rows carrying noise
+    params, branch, residual = kernels.batch_extract_rotation(m3[rows])
+    l, r, _, _ = kernels.batch_decompose_4d(m4[rows])
+    for k, i in enumerate(rows):
+        ext = extract_rotation(m3[i])
+        np.testing.assert_allclose(params[k], ext.params, atol=1e-14)
+        assert BRANCHES[branch[k]] == ext.branch
+        assert residual[k] == pytest.approx(ext.residual, abs=1e-14)
+        dec = decompose_4d(m4[i])
+        np.testing.assert_allclose(l[k], dec.left, atol=1e-13)
+        np.testing.assert_allclose(r[k], dec.right, atol=1e-13)
+
+
 def _reference_sign(q) -> float:
     """The sign rule written out: the first entry with |x| > 1e-12 decides."""
     for x in q:
