@@ -12,6 +12,16 @@ each block's results into their slice. Row i of every result depends
 only on row i of the inputs, not on n, on the row's position in the
 stack or on the inputs' memory order, and the temporaries a call
 allocates are bounded by one block whatever n is.
+
+The three 4D kernels share one table, ``_ASSOC``, derived at import from
+``rot4.associate_matrix``: associate is vec(a) @ _ASSOC, compose is
+vec(l r^T) @ 4 _ASSOC^T, and decompose takes its reconstruction error
+from the associate matrix (the identity in ``rot4``) instead of
+recomposing. A table multiplies every entry of a row, zeros included, so
+one inf or NaN entry makes every output of its row non-finite: the
+entries of associate and compose that do not sum it become NaN (0 * inf),
+where the earlier per-entry sums left them finite. Other rows are not
+affected.
 """
 
 from __future__ import annotations
@@ -19,11 +29,23 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import SIGN_EPS
+from .rot4 import associate_matrix
 
 # Rows per block. One (b, 4, 4) float64 temporary is then 512 KiB, so a
 # block's working set stays in a 2 MiB per-core L2 instead of streaming
 # every intermediate of an n-row stack through memory.
 _BLOCK = 4096
+
+# The associate map as one table on row-major vec(a): row k is
+# rot4.associate_matrix of the k-th unit 4x4 matrix, so
+# vec(associate_matrix(a)) = vec(a) @ _ASSOC. Its entries are 0 and
+# +-1/4 and _ASSOC @ _ASSOC.T = I/4, so compose, the inverse map on
+# vec(l r^T), is the table _COMPOSE = 4 _ASSOC.T. Both are row-major:
+# numpy multiplies a one-row block through gemv, and OpenBLAS's gemv sums
+# in the GEMM's order only over a row-major table; the block contract
+# needs a row alone to give the same bits as in a stack.
+_ASSOC = np.stack([associate_matrix(e.reshape(4, 4)).ravel() for e in np.eye(16)])
+_COMPOSE = np.ascontiguousarray(4.0 * _ASSOC.T)
 
 
 def _blocked(kernel, inputs: tuple, outputs: tuple) -> tuple:
@@ -112,28 +134,9 @@ def batch_extract_rotation(m: np.ndarray):
     return _blocked(_extract_rotation, (m,), outputs)
 
 
-def _left_matrices(l: np.ndarray) -> np.ndarray:
-    a, b, c, d = l[:, 0], l[:, 1], l[:, 2], l[:, 3]
-    out = np.empty((l.shape[0], 4, 4))
-    out[:, 0, 0], out[:, 0, 1], out[:, 0, 2], out[:, 0, 3] = a, -b, -c, -d
-    out[:, 1, 0], out[:, 1, 1], out[:, 1, 2], out[:, 1, 3] = b, a, -d, c
-    out[:, 2, 0], out[:, 2, 1], out[:, 2, 2], out[:, 2, 3] = c, d, a, -b
-    out[:, 3, 0], out[:, 3, 1], out[:, 3, 2], out[:, 3, 3] = d, -c, b, a
-    return out
-
-
-def _right_matrices(r: np.ndarray) -> np.ndarray:
-    p, q, r_, s = r[:, 0], r[:, 1], r[:, 2], r[:, 3]
-    out = np.empty((r.shape[0], 4, 4))
-    out[:, 0, 0], out[:, 0, 1], out[:, 0, 2], out[:, 0, 3] = p, -q, -r_, -s
-    out[:, 1, 0], out[:, 1, 1], out[:, 1, 2], out[:, 1, 3] = q, p, s, -r_
-    out[:, 2, 0], out[:, 2, 1], out[:, 2, 2], out[:, 2, 3] = r_, -s, p, q
-    out[:, 3, 0], out[:, 3, 1], out[:, 3, 2], out[:, 3, 3] = s, r_, -q, p
-    return out
-
-
 def _compose_4d(l: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
-    np.matmul(_left_matrices(l), _right_matrices(r), out=out)
+    outer = np.einsum("ni,nj->nij", l, r).reshape(-1, 16)
+    np.matmul(outer, _COMPOSE, out=out.reshape(-1, 16))
 
 
 def batch_compose_4d(l: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -143,23 +146,7 @@ def batch_compose_4d(l: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _associate_matrix(a: np.ndarray, out: np.ndarray) -> None:
-    out[:, 0, 0] = a[:, 0, 0] + a[:, 1, 1] + a[:, 2, 2] + a[:, 3, 3]
-    out[:, 0, 1] = a[:, 1, 0] - a[:, 0, 1] - a[:, 3, 2] + a[:, 2, 3]
-    out[:, 0, 2] = a[:, 2, 0] + a[:, 3, 1] - a[:, 0, 2] - a[:, 1, 3]
-    out[:, 0, 3] = a[:, 3, 0] - a[:, 2, 1] + a[:, 1, 2] - a[:, 0, 3]
-    out[:, 1, 0] = a[:, 1, 0] - a[:, 0, 1] + a[:, 3, 2] - a[:, 2, 3]
-    out[:, 1, 1] = -a[:, 0, 0] - a[:, 1, 1] + a[:, 2, 2] + a[:, 3, 3]
-    out[:, 1, 2] = a[:, 3, 0] - a[:, 2, 1] - a[:, 1, 2] + a[:, 0, 3]
-    out[:, 1, 3] = -a[:, 2, 0] - a[:, 3, 1] - a[:, 0, 2] - a[:, 1, 3]
-    out[:, 2, 0] = a[:, 2, 0] - a[:, 3, 1] - a[:, 0, 2] + a[:, 1, 3]
-    out[:, 2, 1] = -a[:, 3, 0] - a[:, 2, 1] - a[:, 1, 2] - a[:, 0, 3]
-    out[:, 2, 2] = -a[:, 0, 0] + a[:, 1, 1] - a[:, 2, 2] + a[:, 3, 3]
-    out[:, 2, 3] = a[:, 1, 0] + a[:, 0, 1] - a[:, 3, 2] - a[:, 2, 3]
-    out[:, 3, 0] = a[:, 3, 0] + a[:, 2, 1] - a[:, 1, 2] - a[:, 0, 3]
-    out[:, 3, 1] = a[:, 2, 0] - a[:, 3, 1] + a[:, 0, 2] - a[:, 1, 3]
-    out[:, 3, 2] = -a[:, 1, 0] - a[:, 0, 1] - a[:, 3, 2] - a[:, 2, 3]
-    out[:, 3, 3] = -a[:, 0, 0] + a[:, 1, 1] + a[:, 2, 2] - a[:, 3, 3]
-    out *= 0.25
+    np.matmul(a.reshape(-1, 16), _ASSOC, out=out.reshape(-1, 16))
 
 
 def batch_associate_matrix(a: np.ndarray) -> np.ndarray:
@@ -171,9 +158,9 @@ def batch_associate_matrix(a: np.ndarray) -> np.ndarray:
 def _decompose_4d(a, u_out, v_out, rank1_out, recon_out) -> None:
     m = np.empty((a.shape[0], 4, 4))
     _associate_matrix(a, m)
-    scale = np.sqrt(np.sum(m * m, axis=(1, 2)))
-    col_norms = np.sqrt(np.sum(m * m, axis=1))
-    jmax = np.argmax(col_norms, axis=1)
+    col_squares = np.einsum("nij,nij->nj", m, m)
+    scale = np.sqrt(col_squares.sum(axis=1))
+    jmax = np.argmax(col_squares, axis=1)
     idx = np.arange(m.shape[0])
     u = m[idx, :, jmax]
     u = u / np.linalg.norm(u, axis=1, keepdims=True)
@@ -182,14 +169,17 @@ def _decompose_4d(a, u_out, v_out, rank1_out, recon_out) -> None:
     u = u / np.linalg.norm(u, axis=1, keepdims=True)
     v = np.einsum("nij,ni->nj", m, u)
     v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    rank1_out[:] = np.sqrt(
-        np.sum((m - scale[:, None, None] * u[:, :, None] * v[:, None, :]) ** 2, axis=(1, 2))
-    )
     sign = _canonical_signs(u)[:, None]
     np.multiply(u, sign, out=u_out)
     np.multiply(v, sign, out=v_out)
-    _compose_4d(u_out, v_out, m)  # m is spent; it takes the recomposition
-    recon_out[:] = np.sqrt(np.sum((a - m) ** 2, axis=(1, 2)))
+    # m becomes d = assoc(a) - u v^T: ||a - compose(u, v)||_F = 2 ||d||_F
+    # (see rot4), and d + (1 - scale) u v^T is the rank-1 residual.
+    uv = np.einsum("ni,nj->nij", u_out, v_out)
+    m -= uv
+    recon_out[:] = 2.0 * np.sqrt(np.einsum("nij,nij->n", m, m))
+    uv *= (1.0 - scale)[:, None, None]
+    m += uv
+    rank1_out[:] = np.sqrt(np.einsum("nij,nij->n", m, m))
 
 
 def batch_decompose_4d(a: np.ndarray):

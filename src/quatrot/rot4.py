@@ -7,6 +7,14 @@ quarter-sums of signed entries of A, which equals the outer product of
 L's components with R's components whenever A is a genuine rotation (it
 then has rank 1 and unit Frobenius norm). Decomposition is therefore:
 associate matrix -> rank-1 factorization -> sign canonicalization.
+
+The associate map is linear: on the 16 entries it is 0.25 S for a +-1
+matrix S with S^T S = 4 I. So S/2 is orthogonal and the map halves every
+Frobenius norm exactly. It sends compose_4d(l, r) to the outer product
+l r^T, so for any 4x4 A and quaternions l, r
+    ||A - compose_4d(l, r)||_F = 2 ||associate_matrix(A) - l r^T||_F,
+which lets ``kernels.batch_decompose_4d`` measure its reconstruction
+error without recomposing.
 """
 
 from __future__ import annotations

@@ -2,11 +2,14 @@
 API, including the sign rule they share."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import quatrot.kernels as kernels
 from quatrot.linalg import SIGN_EPS, canonical_sign, rank1_factor
@@ -87,17 +90,17 @@ def test_batch_decompose_matches_scalar(samples):
             np.testing.assert_allclose(got_r, r[i], rtol=0, atol=1e-13)
 
 
-def _noisy_stack(seed, n):
+def _noisy_stack(seed, n, noise=1e-13):
     """Unit quaternion pairs with their 3x3 and 4x4 matrices; every fifth
-    matrix carries entrywise noise of at most 1e-13."""
+    matrix carries entrywise noise of at most ``noise``."""
     g = np.random.default_rng(seed)
     left = g.normal(size=(n, 4))
     right = g.normal(size=(n, 4))
     left /= np.linalg.norm(left, axis=1, keepdims=True)
     right /= np.linalg.norm(right, axis=1, keepdims=True)
     noisy = (np.arange(n) % 5 == 0)[:, None, None]
-    m3 = kernels.batch_euler_rodrigues(left) + noisy * g.uniform(-1e-13, 1e-13, (n, 3, 3))
-    m4 = kernels.batch_compose_4d(left, right) + noisy * g.uniform(-1e-13, 1e-13, (n, 4, 4))
+    m3 = kernels.batch_euler_rodrigues(left) + noisy * g.uniform(-noise, noise, (n, 3, 3))
+    m4 = kernels.batch_compose_4d(left, right) + noisy * g.uniform(-noise, noise, (n, 4, 4))
     return left, right, m3, m4
 
 
@@ -163,6 +166,99 @@ def test_noisy_rows_match_scalar(block_stack):
         dec = decompose_4d(m4[i])
         np.testing.assert_allclose(l[k], dec.left, atol=1e-13)
         np.testing.assert_allclose(r[k], dec.right, atol=1e-13)
+
+
+_FOUR_D = ["compose_4d", "associate_matrix", "decompose_4d"]
+
+
+@pytest.mark.parametrize("name", _FOUR_D)
+def test_short_stacks_match_the_full_stack(block_stack, name):
+    fn, args, _ = _kernel_calls(*block_stack)[name]
+    full = _outputs(fn(*args))
+    for width in range(2, 18):
+        part = _outputs(fn(*(x[5 : 5 + width] for x in args)))
+        for got, want in zip(full, part):
+            assert np.array_equal(got[5 : 5 + width], want), (name, width)
+
+
+@pytest.mark.parametrize("noise", [1e-13, 1e-10])
+def test_batch_decompose_residuals_match_scalar(noise):
+    _, _, _, m4 = _noisy_stack(907, 100, noise)  # exact rows and noisy rows
+    _, _, rank1, recon = kernels.batch_decompose_4d(m4)
+    for i, a in enumerate(m4):
+        dec = decompose_4d(a)
+        assert abs(rank1[i] - dec.rank1_residual) <= 2e-15, i
+        assert abs(recon[i] - dec.reconstruction_error) <= 2e-15, i
+
+
+def test_assoc_table_is_half_an_orthogonal_map():
+    assert np.array_equal(kernels._ASSOC @ kernels._ASSOC.T, np.eye(16) / 4)
+
+
+# Entries from 1e-100 to 1e100 in size, or zero: no sum overflows and no
+# square underflows, so the norm identity holds to rounding.
+_WIDE = st.builds(
+    lambda sign, x: sign * x,
+    st.sampled_from([-1.0, 1.0]),
+    st.one_of(st.just(0.0), st.floats(1e-100, 1e100)),
+)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.just(4), st.just(4)), elements=_WIDE))
+def test_batch_associate_is_the_scalar_map_on_any_matrix(a):
+    batch = kernels.batch_associate_matrix(a)
+    for got, row in zip(batch, a):
+        np.testing.assert_allclose(got, associate_matrix(row), rtol=0, atol=1e-15 * np.max(np.abs(row)))
+        assert math.isclose(np.linalg.norm(got), np.linalg.norm(row) / 2, rel_tol=1e-14)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-13, 1e-10, 1e-7, 1e-3]))
+def test_recon_error_is_the_distance_to_the_recomposed_rotation(seed, noise):
+    _, _, _, a = _noisy_stack(seed, 10, noise)
+    u, v, _, recon = kernels.batch_decompose_4d(a)
+    explicit = np.sqrt(np.sum((a - kernels.batch_compose_4d(u, v)) ** 2, axis=(1, 2)))
+    np.testing.assert_allclose(recon, explicit, rtol=0, atol=2e-15)
+
+
+_ONE_THREAD_CHILD = """
+import sys
+import numpy as np
+import quatrot.kernels as kernels
+inp = np.load(sys.argv[1])
+l, r, m4 = inp["l"], inp["r"], inp["m4"]
+np.savez(sys.argv[2], kernels.batch_compose_4d(l, r), kernels.batch_associate_matrix(m4), *kernels.batch_decompose_4d(m4))
+"""
+
+
+def test_one_blas_thread_gives_the_same_bytes(cli_env, tmp_path):
+    """Row i depends only on row i, so the table GEMMs give the same bytes
+    on one BLAS thread as on however many this process uses."""
+    left, right, _, m4 = _noisy_stack(906, 3 * kernels._BLOCK)
+    np.savez(tmp_path / "in.npz", l=left, r=right, m4=m4)
+    env = dict(cli_env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    cmd = [sys.executable, "-c", _ONE_THREAD_CHILD, str(tmp_path / "in.npz"), str(tmp_path / "out.npz")]
+    subprocess.run(cmd, env=env, check=True)
+    here = [kernels.batch_compose_4d(left, right), kernels.batch_associate_matrix(m4), *kernels.batch_decompose_4d(m4)]
+    with np.load(tmp_path / "out.npz") as child:
+        for k, want in enumerate(here):
+            assert child[f"arr_{k}"].tobytes() == want.tobytes(), k
+
+
+def test_non_finite_rows_leave_the_other_rows_alone(block_stack):
+    left, right, m3, m4 = block_stack
+    bad = [kernels._BLOCK - 1, kernels._BLOCK + 7]  # an inf row and a nan row
+    left_bad, m4_bad = left.copy(), m4.copy()
+    left_bad[bad[0], 2], left_bad[bad[1], 0] = np.inf, np.nan
+    m4_bad[bad[0], 1, 3], m4_bad[bad[1], 2, 2] = -np.inf, np.nan
+    keep = np.setdiff1d(np.arange(len(m4)), bad)
+    with_bad = _kernel_calls(left_bad, right, m3, m4_bad)
+    without = _kernel_calls(left[keep], right[keep], m3[keep], m4[keep])
+    for name in _FOUR_D:
+        fn, args, _ = with_bad[name]
+        clean_args = without[name][1]
+        for got, want in zip(_outputs(fn(*args)), _outputs(fn(*clean_args))):
+            assert np.array_equal(got[keep], want), name
+            assert not np.isfinite(got[bad]).any(), name
 
 
 def _reference_sign(q) -> float:
