@@ -22,6 +22,22 @@ one inf or NaN entry makes every output of its row non-finite: the
 entries of associate and compose that do not sum it become NaN (0 * inf),
 where the earlier per-entry sums left them finite. Other rows are not
 affected.
+
+Component-major blocks: decompose, extract and Euler-Rodrigues transpose
+their block once into a contiguous (k, b) array, row i holding component
+i of every row, compute on that layout and write their results back
+transposed once. Every step in between is elementwise arithmetic on
+length-b rows: norms, matrix-vector products and Frobenius sums add
+their terms over the leading axis in index order (``_ordered_sum``), and
+the seed choices take the first largest entry by strict ``>`` selection
+(``_first_max``), which is how np.argmax and the scalar ``max(range(k))``
+break ties. numpy's ``sum`` and ``einsum`` are avoided on purpose: a
+contiguous ``sum`` of eight or more terms is pairwise, so with b = 1 it
+adds in another order than with b > 1, and einsum's order varied with
+the block length; either would break the block contract. Ties and NaN:
+np.argmax takes NaN as the largest entry, while ``>`` never selects it,
+so the branch extract reports for a row with NaN squares may differ
+from an argmax's.
 """
 
 from __future__ import annotations
@@ -47,6 +63,14 @@ _BLOCK = 4096
 _ASSOC = np.stack([associate_matrix(e.reshape(4, 4)).ravel() for e in np.eye(16)])
 _COMPOSE = np.ascontiguousarray(4.0 * _ASSOC.T)
 
+# Extract's product table keeps the ten unique entries p_ij = q_i q_j,
+# (i, j) = _PAIRS[:, k], in the order of rot3's ten equations; row i of
+# the symmetric 4x4 table is then t[_TABLE_ROWS[i]].
+_PAIRS = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (2, 3), (1, 3), (1, 2)]).T
+_TABLE_ROWS = np.empty((4, 4), dtype=np.int64)
+_TABLE_ROWS[_PAIRS[0], _PAIRS[1]] = _TABLE_ROWS[_PAIRS[1], _PAIRS[0]] = np.arange(10)
+_COMPONENTS = np.arange(4)[:, None]
+
 
 def _blocked(kernel, inputs: tuple, outputs: tuple) -> tuple:
     """Call kernel(*input_rows, *output_rows) on consecutive slices of at
@@ -58,17 +82,70 @@ def _blocked(kernel, inputs: tuple, outputs: tuple) -> tuple:
     return outputs
 
 
+def _component_major(x: np.ndarray) -> np.ndarray:
+    """A (b, ...) block as a contiguous (k, b) array: row i holds flat
+    component i of every row of the block."""
+    return np.ascontiguousarray(x.reshape(len(x), -1).T)
+
+
+def _ordered_sum(terms) -> np.ndarray:
+    """terms[0] + terms[1] + ... elementwise, added in index order."""
+    total = terms[0] + terms[1]
+    for term in terms[2:]:
+        total += term
+    return total
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """Each column of a component-major block divided by its norm."""
+    return x / np.sqrt(_ordered_sum(x * x))
+
+
+def _first_max(keys: np.ndarray, rows) -> tuple:
+    """(index, key, row) per column: index is the first i whose keys[i] is
+    largest in that column (strict >, so ties go to the lower index, as
+    np.argmax and max(range(k), key=...) pick), and row is rows[i]'s column
+    there."""
+    index = np.zeros(keys.shape[1], dtype=np.int64)
+    key, row = keys[0], rows[0]
+    for i in range(1, len(keys)):
+        take = keys[i] > key
+        index = np.where(take, i, index)
+        key = np.where(take, keys[i], key)
+        row = np.where(take, rows[i], row)
+    return index, key, row
+
+
+def _signs(q: np.ndarray) -> np.ndarray:
+    """Per-column ``linalg.canonical_sign`` of a component-major (4, b)
+    block: the sign that makes the first component with magnitude above
+    SIGN_EPS positive. Scanning from the last component back, lead ends as
+    the first such component, or the last component when none is."""
+    big = np.abs(q) > SIGN_EPS
+    lead = q[-1]
+    for i in range(len(q) - 2, -1, -1):
+        lead = np.where(big[i], q[i], lead)
+    return np.where(lead < -SIGN_EPS, -1.0, 1.0)
+
+
 def _euler_rodrigues(q: np.ndarray, out: np.ndarray) -> None:
-    a, b, c, d = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    out[:, 0, 0] = a * a + b * b - c * c - d * d
-    out[:, 0, 1] = -2 * a * d + 2 * b * c
-    out[:, 0, 2] = 2 * a * c + 2 * b * d
-    out[:, 1, 0] = 2 * a * d + 2 * b * c
-    out[:, 1, 1] = a * a - b * b + c * c - d * d
-    out[:, 1, 2] = -2 * a * b + 2 * c * d
-    out[:, 2, 0] = -2 * a * c + 2 * b * d
-    out[:, 2, 1] = 2 * a * b + 2 * c * d
-    out[:, 2, 2] = a * a - b * b - c * c + d * d
+    a, b, c, d = _component_major(q)
+    # rot3's entries with each product formed once: (-2a)d = -((2a)d) and
+    # x + (-y) = x - y exactly, so -2ad + 2bc is bc - ad to the bit.
+    aa, bb, cc, dd = a * a, b * b, c * c, d * d
+    a2, b2, c2 = 2 * a, 2 * b, 2 * c
+    ab, ac, ad, bc, bd, cd = a2 * b, a2 * c, a2 * d, b2 * c, b2 * d, c2 * d
+    r = np.empty((9, len(a)))
+    r[0] = aa + bb - cc - dd
+    np.subtract(bc, ad, out=r[1])
+    np.add(ac, bd, out=r[2])
+    np.add(ad, bc, out=r[3])
+    r[4] = aa - bb + cc - dd
+    np.subtract(cd, ab, out=r[5])
+    np.subtract(bd, ac, out=r[6])
+    np.add(ab, cd, out=r[7])
+    r[8] = aa - bb - cc + dd
+    out.reshape(-1, 9)[:] = r.T
 
 
 def batch_euler_rodrigues(q: np.ndarray) -> np.ndarray:
@@ -77,48 +154,33 @@ def batch_euler_rodrigues(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _canonical_signs(q: np.ndarray) -> np.ndarray:
-    """Per-row ``linalg.canonical_sign``, vectorized: the sign that makes
-    the first component with magnitude above SIGN_EPS positive."""
-    n = q.shape[0]
-    sign = np.ones(n)
-    decided = np.zeros(n, dtype=bool)
-    for i in range(4):
-        comp = q[:, i]
-        newly = ~decided & (np.abs(comp) > SIGN_EPS)
-        sign = np.where(newly & (comp < 0.0), -1.0, sign)
-        decided |= newly
-    return sign
-
-
 def _extract_rotation(m, q_out, branch_out, residual_out) -> None:
-    m00, m01, m02 = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
-    m10, m11, m12 = m[:, 1, 0], m[:, 1, 1], m[:, 1, 2]
-    m20, m21, m22 = m[:, 2, 0], m[:, 2, 1], m[:, 2, 2]
-    # Product table p[i, j] = q_i q_j as the matrix gives it: the squared
-    # components on the diagonal, the six cross terms off it.
-    p = np.empty((m.shape[0], 4, 4))
-    p[:, 0, 0] = (1 + m00 + m11 + m22) / 4
-    p[:, 1, 1] = (1 + m00 - m11 - m22) / 4
-    p[:, 2, 2] = (1 - m00 + m11 - m22) / 4
-    p[:, 3, 3] = (1 - m00 - m11 + m22) / 4
-    p[:, 0, 1] = p[:, 1, 0] = (m21 - m12) / 4
-    p[:, 0, 2] = p[:, 2, 0] = (m02 - m20) / 4
-    p[:, 0, 3] = p[:, 3, 0] = (m10 - m01) / 4
-    p[:, 2, 3] = p[:, 3, 2] = (m21 + m12) / 4
-    p[:, 1, 3] = p[:, 3, 1] = (m02 + m20) / 4
-    p[:, 1, 2] = p[:, 2, 1] = (m10 + m01) / 4
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = _component_major(m)
+    # The ten unique entries p_ij = q_i q_j of the product table as the
+    # matrix gives them, in _PAIRS order: the four squares, then the six
+    # cross terms.
+    t = np.empty((10, len(m00)))
+    t[0] = (1 + m00 + m11 + m22) / 4
+    t[1] = (1 + m00 - m11 - m22) / 4
+    t[2] = (1 - m00 + m11 - m22) / 4
+    t[3] = (1 - m00 - m11 + m22) / 4
+    t[4] = (m21 - m12) / 4
+    t[5] = (m02 - m20) / 4
+    t[6] = (m10 - m01) / 4
+    t[7] = (m21 + m12) / 4
+    t[8] = (m02 + m20) / 4
+    t[9] = (m10 + m01) / 4
 
     # Seed from the largest square; the other components are its row of
     # the table divided by the seed.
-    rows = np.arange(m.shape[0])
-    branch = np.argmax(p.diagonal(axis1=1, axis2=2), axis=1)
-    seed = np.sqrt(np.maximum(p[rows, branch, branch], 0.0))
-    q = p[rows, branch] / seed[:, None]
-    q[rows, branch] = seed
+    branch, square, row = _first_max(t[:4], t[_TABLE_ROWS])
+    seed = np.sqrt(np.maximum(square, 0.0))
+    q = row / seed
+    np.copyto(q, seed, where=_COMPONENTS == branch)
 
-    residual_out[:] = np.max(np.abs(q[:, :, None] * q[:, None, :] - p), axis=(1, 2))
-    np.multiply(q, _canonical_signs(q)[:, None], out=q_out)
+    residual_out[:] = np.abs(q[_PAIRS[0]] * q[_PAIRS[1]] - t).max(axis=0)
+    q *= _signs(q)
+    q_out[:] = q.T
     branch_out[:] = branch
 
 
@@ -156,30 +218,29 @@ def batch_associate_matrix(a: np.ndarray) -> np.ndarray:
 
 
 def _decompose_4d(a, u_out, v_out, rank1_out, recon_out) -> None:
-    m = np.empty((a.shape[0], 4, 4))
-    _associate_matrix(a, m)
-    col_squares = np.einsum("nij,nij->nj", m, m)
-    scale = np.sqrt(col_squares.sum(axis=1))
-    jmax = np.argmax(col_squares, axis=1)
-    idx = np.arange(m.shape[0])
-    u = m[idx, :, jmax]
-    u = u / np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.einsum("nij,ni->nj", m, u)
-    u = np.einsum("nij,nj->ni", m, v / np.linalg.norm(v, axis=1, keepdims=True))
-    u = u / np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.einsum("nij,ni->nj", m, u)
-    v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    sign = _canonical_signs(u)[:, None]
-    np.multiply(u, sign, out=u_out)
-    np.multiply(v, sign, out=v_out)
+    assoc = np.empty((a.shape[0], 4, 4))
+    _associate_matrix(a, assoc)
+    m = _component_major(assoc).reshape(4, 4, -1)  # m[i, j] is entry (i, j)
+    col_squares = _ordered_sum(m * m)
+    scale = np.sqrt(_ordered_sum(col_squares))
+    _, _, u = _first_max(col_squares, m.transpose(1, 0, 2))  # seed: a column of m
+    u = _unit(u)
+    v = _ordered_sum(m * u[:, None])  # v_j = sum_i m_ij u_i
+    u = _unit(_ordered_sum((m * _unit(v)).transpose(1, 0, 2)))  # u_i = sum_j m_ij v_j
+    v = _unit(_ordered_sum(m * u[:, None]))
+    sign = _signs(u)
+    u *= sign
+    v *= sign
     # m becomes d = assoc(a) - u v^T: ||a - compose(u, v)||_F = 2 ||d||_F
     # (see rot4), and d + (1 - scale) u v^T is the rank-1 residual.
-    uv = np.einsum("ni,nj->nij", u_out, v_out)
+    uv = u[:, None] * v
     m -= uv
-    recon_out[:] = 2.0 * np.sqrt(np.einsum("nij,nij->n", m, m))
-    uv *= (1.0 - scale)[:, None, None]
+    recon_out[:] = 2.0 * np.sqrt(_ordered_sum((m * m).reshape(16, -1)))
+    uv *= 1.0 - scale
     m += uv
-    rank1_out[:] = np.sqrt(np.einsum("nij,nij->n", m, m))
+    rank1_out[:] = np.sqrt(_ordered_sum((m * m).reshape(16, -1)))
+    u_out[:] = u.T
+    v_out[:] = v.T
 
 
 def batch_decompose_4d(a: np.ndarray):

@@ -22,8 +22,8 @@ DEFAULT_TOL = 1e-9
 
 # Quaternions, quaternion pairs and rank-1 factors are defined up to a
 # global sign; the representative has its first component with magnitude
-# above SIGN_EPS positive. kernels._canonical_signs applies the same rule
-# per row.
+# above SIGN_EPS positive. kernels._signs applies the same rule to each
+# column of a component-major block.
 SIGN_EPS = 1e-12
 
 

@@ -10,7 +10,9 @@ a certificate that the input really is a rotation matrix.
 
 Kind detection is purely the determinant sign: +1 rotation, -1
 rotoreflection. Angles come from the trace: trace = 2 cos(alpha) + 1 for
-rotations, 2 cos(alpha) - 1 for rotoreflections.
+rotations, 2 cos(alpha) - 1 for rotoreflections; the skew part gives
+sin(alpha) for both, and atan2 of the two keeps the angle accurate near
+0 and pi.
 """
 
 from __future__ import annotations
@@ -191,9 +193,15 @@ def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) ->
 
 
 def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleReport:
-    """Angle from the trace: (trace - 1)/2 for rotations, (trace + 1)/2
-    for rotoreflections, clamped to [-1, 1] before arccos (the trace can
-    overshoot by rounding)."""
+    """Angle from the trace and the skew part.
+
+    cos_alpha is (trace - 1)/2 for rotations and (trace + 1)/2 for
+    rotoreflections, clamped to [-1, 1] (the trace can overshoot by
+    rounding). sin_alpha is half the norm of (m21 - m12, m02 - m20,
+    m10 - m01), the same for both kinds, and alpha = atan2(sin_alpha,
+    cos_alpha): arccos of the cosine alone loses half the digits near
+    0 and pi.
+    """
     m = as_mat3(m)
     report = _require_orthonormal(m, tol, NotOrthogonal)
     trace = float(m[0, 0] + m[1, 1] + m[2, 2])
@@ -202,7 +210,8 @@ def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleRepo
     else:
         cos_alpha = (trace + 1.0) / 2.0
     cos_alpha = min(1.0, max(-1.0, cos_alpha))
-    return AngleReport(math.acos(cos_alpha), cos_alpha)
+    sin_alpha = math.hypot(m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]) / 2.0
+    return AngleReport(math.atan2(sin_alpha, cos_alpha), cos_alpha)
 
 
 def embed_4d(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -121,12 +121,15 @@ def _outputs(result):
     return list(result) if isinstance(result, tuple) else [result]
 
 
+_KERNELS = ["euler_rodrigues", "extract_rotation", "compose_4d", "associate_matrix", "decompose_4d"]
+
+
 @pytest.fixture(scope="module")
 def block_stack():
     return _noisy_stack(905, 2 * kernels._BLOCK + 3)
 
 
-@pytest.mark.parametrize("name", ["euler_rodrigues", "extract_rotation", "compose_4d", "associate_matrix", "decompose_4d"])
+@pytest.mark.parametrize("name", _KERNELS)
 def test_block_boundary_rows_match_the_row_alone(block_stack, name):
     fn, args, _ = _kernel_calls(*block_stack)[name]
     full = _outputs(fn(*args))
@@ -168,10 +171,7 @@ def test_noisy_rows_match_scalar(block_stack):
         np.testing.assert_allclose(r[k], dec.right, atol=1e-13)
 
 
-_FOUR_D = ["compose_4d", "associate_matrix", "decompose_4d"]
-
-
-@pytest.mark.parametrize("name", _FOUR_D)
+@pytest.mark.parametrize("name", _KERNELS)
 def test_short_stacks_match_the_full_stack(block_stack, name):
     fn, args, _ = _kernel_calls(*block_stack)[name]
     full = _outputs(fn(*args))
@@ -225,20 +225,33 @@ import sys
 import numpy as np
 import quatrot.kernels as kernels
 inp = np.load(sys.argv[1])
-l, r, m4 = inp["l"], inp["r"], inp["m4"]
-np.savez(sys.argv[2], kernels.batch_compose_4d(l, r), kernels.batch_associate_matrix(m4), *kernels.batch_decompose_4d(m4))
+l, r, m3, m4 = inp["l"], inp["r"], inp["m3"], inp["m4"]
+np.savez(
+    sys.argv[2],
+    kernels.batch_euler_rodrigues(l),
+    *kernels.batch_extract_rotation(m3),
+    kernels.batch_compose_4d(l, r),
+    kernels.batch_associate_matrix(m4),
+    *kernels.batch_decompose_4d(m4),
+)
 """
 
 
 def test_one_blas_thread_gives_the_same_bytes(cli_env, tmp_path):
-    """Row i depends only on row i, so the table GEMMs give the same bytes
-    on one BLAS thread as on however many this process uses."""
-    left, right, _, m4 = _noisy_stack(906, 3 * kernels._BLOCK)
-    np.savez(tmp_path / "in.npz", l=left, r=right, m4=m4)
+    """Row i depends only on row i, so the kernels give the same bytes on
+    one BLAS thread as on however many this process uses."""
+    left, right, m3, m4 = _noisy_stack(906, 3 * kernels._BLOCK)
+    np.savez(tmp_path / "in.npz", l=left, r=right, m3=m3, m4=m4)
     env = dict(cli_env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     cmd = [sys.executable, "-c", _ONE_THREAD_CHILD, str(tmp_path / "in.npz"), str(tmp_path / "out.npz")]
     subprocess.run(cmd, env=env, check=True)
-    here = [kernels.batch_compose_4d(left, right), kernels.batch_associate_matrix(m4), *kernels.batch_decompose_4d(m4)]
+    here = [
+        kernels.batch_euler_rodrigues(left),
+        *kernels.batch_extract_rotation(m3),
+        kernels.batch_compose_4d(left, right),
+        kernels.batch_associate_matrix(m4),
+        *kernels.batch_decompose_4d(m4),
+    ]
     with np.load(tmp_path / "out.npz") as child:
         for k, want in enumerate(here):
             assert child[f"arr_{k}"].tobytes() == want.tobytes(), k
@@ -247,17 +260,23 @@ def test_one_blas_thread_gives_the_same_bytes(cli_env, tmp_path):
 def test_non_finite_rows_leave_the_other_rows_alone(block_stack):
     left, right, m3, m4 = block_stack
     bad = [kernels._BLOCK - 1, kernels._BLOCK + 7]  # an inf row and a nan row
-    left_bad, m4_bad = left.copy(), m4.copy()
+    left_bad, m3_bad, m4_bad = left.copy(), m3.copy(), m4.copy()
     left_bad[bad[0], 2], left_bad[bad[1], 0] = np.inf, np.nan
+    m3_bad[bad[0], 1, 1], m3_bad[bad[1], 0, 1] = np.inf, np.nan
     m4_bad[bad[0], 1, 3], m4_bad[bad[1], 2, 2] = -np.inf, np.nan
     keep = np.setdiff1d(np.arange(len(m4)), bad)
-    with_bad = _kernel_calls(left_bad, right, m3, m4_bad)
+    with_bad = _kernel_calls(left_bad, right, m3_bad, m4_bad)
     without = _kernel_calls(left[keep], right[keep], m3[keep], m4[keep])
-    for name in _FOUR_D:
+    for name in _KERNELS:
         fn, args, _ = with_bad[name]
         clean_args = without[name][1]
-        for got, want in zip(_outputs(fn(*args)), _outputs(fn(*clean_args))):
+        with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf in the bad rows
+            outs = _outputs(fn(*args))
+        for got, want in zip(outs, _outputs(fn(*clean_args))):
             assert np.array_equal(got[keep], want), name
+        # Extract's branch is an index and its q may keep finite entries;
+        # its residual must show the bad row.
+        for got in outs[2:] if name == "extract_rotation" else outs:
             assert not np.isfinite(got[bad]).any(), name
 
 
@@ -287,11 +306,88 @@ _ZERO_ROWS = st.sampled_from([[0.0] * 4, [-0.0] * 4])
 
 
 @given(st.lists(st.one_of(_ROWS, _ZERO_ROWS), min_size=1, max_size=12))
+@example([[0.0, 0.0, 0.0, -1e-12], [1e-12, -1e-12, 0.0, -5e-10], [-1e-12, 0.0, 1e-12, 1e-12]])
 def test_sign_rule_scalar_batch_and_reference_agree(rows):
     assert SIGN_EPS == 1e-12
     q = np.array(rows, dtype=np.float64)
-    batch = kernels._canonical_signs(q)
+    batch = kernels._signs(q.T)
     for row, got in zip(q, batch):
         expected = _reference_sign(row)
         assert canonical_sign(row) == expected
         assert got == expected
+
+
+def test_extract_ties_go_to_the_first_branch(block_stack):
+    """The half turn about (1, 1, 0)/sqrt(2) has squares (0, 1/2, 1/2, 0):
+    an exact tie, which the scalar and the batch path both give to B."""
+    m = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    scalar = extract_rotation(m)
+    assert scalar.branch == "B"
+    b = kernels._BLOCK
+    stack = block_stack[2][: b + 1].copy()
+    at = [0, b - 1, b]
+    stack[at] = m
+    for rows, picks in ((m[None], [0]), (stack, at)):
+        params, branch, residual = kernels.batch_extract_rotation(rows)
+        for i in picks:
+            assert BRANCHES[branch[i]] == "B", i
+            np.testing.assert_allclose(params[i], scalar.params, rtol=0, atol=1e-15)
+            assert residual[i] == pytest.approx(scalar.residual, abs=1e-15)
+
+
+def test_decompose_ties_go_to_the_first_column():
+    """compose_4d(l, l) for l = (1, 1, 0, 0)/sqrt(2): the associate matrix's
+    first two columns have equal squares, and column 0 seeds the factor."""
+    l = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2)
+    a = compose_4d(l, l)
+    m = associate_matrix(a)
+    col_squares = np.sum(m * m, axis=0)
+    assert col_squares[0] == col_squares[1] == col_squares.max()
+    comp = kernels._component_major(m[None]).reshape(4, 4, 1)
+    index, _, seed = kernels._first_max(col_squares[:, None], comp.transpose(1, 0, 2))
+    assert index[0] == 0
+    assert seed[:, 0].tobytes() == m[:, 0].tobytes()
+    u, v, rank1, recon = kernels.batch_decompose_4d(a[None])
+    dec = decompose_4d(a)
+    np.testing.assert_allclose(u[0], dec.left, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(v[0], dec.right, rtol=0, atol=1e-15)
+    assert abs(rank1[0] - dec.rank1_residual) <= 2e-15
+    assert abs(recon[0] - dec.reconstruction_error) <= 2e-15
+
+
+# Few distinct keys, so ties are common.
+_KEYS = arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 6)), elements=st.sampled_from([-1.0, 0.0, 0.5, 2.0]))
+
+
+@given(_KEYS)
+def test_first_max_is_argmax_with_the_row_it_picks(keys):
+    rows = np.arange(keys.size * 3, dtype=np.float64).reshape(len(keys), 3, -1)
+    index, key, row = kernels._first_max(keys, rows)
+    want = np.argmax(keys, axis=0)
+    cols = np.arange(keys.shape[1])
+    assert np.array_equal(index, want)
+    assert np.array_equal(key, keys[want, cols])
+    assert np.array_equal(row, rows[want, :, cols].T)
+
+
+def _euler_rodrigues_rows(q):
+    """The Euler-Rodrigues formula written out per row, as rot3 writes it."""
+    a, b, c, d = q.T
+    return np.stack(
+        [
+            a * a + b * b - c * c - d * d, -2 * a * d + 2 * b * c, 2 * a * c + 2 * b * d,
+            2 * a * d + 2 * b * c, a * a - b * b + c * c - d * d, -2 * a * b + 2 * c * d,
+            -2 * a * c + 2 * b * d, 2 * a * b + 2 * c * d, a * a - b * b - c * c + d * d,
+        ],
+        axis=1,
+    ).reshape(-1, 3, 3)
+
+
+_QUAT_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e150, 1e150))
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 9), st.just(4)), elements=_QUAT_ENTRIES))
+def test_euler_rodrigues_bytes_are_the_written_out_formula(q):
+    """Sharing products between entries leaves every bit, signed zeros
+    included, as the entry-by-entry formula gives it."""
+    assert kernels.batch_euler_rodrigues(q).tobytes() == _euler_rodrigues_rows(q).tobytes()

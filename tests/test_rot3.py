@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quatrot.errors import (
     InconsistentSystem,
@@ -246,6 +248,32 @@ def test_angle_matches_generating_quaternion():
         alpha = 2 * math.acos(min(1.0, abs(q[0])))
         got = rotation_angle(euler_rodrigues(q), IsometryKind.ROTATION).alpha
         assert got == pytest.approx(alpha, abs=1e-9)
+
+
+_AXIS = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda v: np.linalg.norm(v) > 0.1)
+
+
+@given(
+    _AXIS,
+    st.floats(-9.0, -3.0),
+    st.booleans(),
+    st.sampled_from(list(IsometryKind)),
+    st.integers(0, 2**32 - 1),
+)
+def test_angle_near_0_and_pi_is_accurate(axis, log_gap, near_pi, kind, seed):
+    """Within 1e-9 to 1e-3 of angle 0 or pi, with entrywise noise of 1e-13,
+    the angle matches 2 atan2(|v|, |w|) of the generating quaternion to
+    1e-12; arccos of the trace is off by up to about 1e-6 there."""
+    gap = 10.0**log_gap
+    q = _quat_from_axis_angle(axis, math.pi - gap if near_pi else gap)
+    m = euler_rodrigues(q)
+    if kind is IsometryKind.ROTOREFLECTION:
+        # rotate about the axis, then reflect through the plane normal to it
+        n = q[1:] / np.linalg.norm(q[1:])
+        m = m - 2.0 * np.outer(n, n)
+    m = m + np.random.default_rng(seed).uniform(-1e-13, 1e-13, (3, 3))
+    want = 2.0 * math.atan2(np.linalg.norm(q[1:]), abs(q[0]))
+    assert abs(rotation_angle(m, kind).alpha - want) <= 1e-12
 
 
 def test_angle_rejects_non_orthogonal():
