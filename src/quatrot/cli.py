@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from . import rot3, rot4
-from .errors import NonFiniteInput, NotARotation, NotOrthogonal, NotUnit, QuatrotError
-from .linalg import check_orthonormal, det3
+from .errors import NonFiniteInput, NotARotation, NotUnit, QuatrotError
+from .linalg import _require_orthonormal, check_orthonormal, det3
 from .rng import random_rotation
 from .rot3 import IsometryKind
 
@@ -158,25 +158,26 @@ def _require_dim(m, dim, command):
         raise ParseError(f"{command} needs a {dim}x{dim} matrix, got {m.shape[0]}x{m.shape[0]}")
 
 
-def _extract(m, kind, tol):
+# The 3x3 commands check the matrix once and hand the report to rot3's
+# private cores, which raise what the public functions raise.
+
+def _extract(m, report, kind):
     if kind is IsometryKind.ROTATION:
-        return rot3.extract_rotation(m, tol)
-    return rot3.extract_rotoreflection(m, tol)
+        return rot3._extract_rotation(m, report)
+    return rot3._extract_rotoreflection(m, report)
 
 
 def _cmd_mat2quat(args, text):
     m = parse_matrix(text, args.format)
     _require_dim(m, 3, "mat2quat")
+    report = check_orthonormal(m, args.tol)
     if args.kind == "rotation":
         kind = IsometryKind.ROTATION
     elif args.kind == "rotoreflection":
         kind = IsometryKind.ROTOREFLECTION
     else:
-        try:
-            kind = rot3.classify(m, args.tol)
-        except NotOrthogonal as exc:
-            raise NotARotation(str(exc)) from exc
-    result = _extract(m, kind, args.tol)
+        kind = rot3._kind(_require_orthonormal(report, NotARotation))
+    result = _extract(m, report, kind)
     return {
         "quaternion": _quat_obj(result.params),
         "residual": result.residual,
@@ -212,16 +213,18 @@ def _cmd_classify(args, text):
 def _cmd_angle(args, text):
     m = parse_matrix(text, args.format)
     _require_dim(m, 3, "angle")
-    kind = rot3.classify(m, args.tol)
-    report = rot3.rotation_angle(m, kind, args.tol)
-    return {"kind": kind.value, "alpha": report.alpha, "cos_alpha": report.cos_alpha}
+    report = check_orthonormal(m, args.tol)
+    kind = rot3._classify(report)
+    angle = rot3._rotation_angle(m, report, kind)
+    return {"kind": kind.value, "alpha": angle.alpha, "cos_alpha": angle.cos_alpha}
 
 
 def _cmd_embed(args, text):
     m = parse_matrix(text, args.format)
     _require_dim(m, 3, "embed")
-    kind = rot3.classify(m, args.tol)
-    return {"kind": kind.value, "matrix": rot3.embed_4d(m, kind, args.tol)}
+    report = check_orthonormal(m, args.tol)
+    kind = rot3._classify(report)
+    return {"kind": kind.value, "matrix": rot3._embed_4d(m, report, kind)}
 
 
 def _cmd_random(args, text):
@@ -242,9 +245,9 @@ def _cmd_verify(args, text):
     m = parse_matrix(text, args.format)
     report = check_orthonormal(m, args.tol)
     if m.shape == (3, 3):
-        kind = rot3.classify(m, args.tol)
-        result = _extract(m, kind, args.tol)
-        angle = rot3.rotation_angle(m, kind, args.tol)
+        kind = rot3._classify(report)
+        result = _extract(m, report, kind)
+        angle = rot3._rotation_angle(m, report, kind)
         ok = report.max_abs_gram_deviation <= args.tol and result.residual <= args.tol
         return {
             "dim": 3,
@@ -256,7 +259,7 @@ def _cmd_verify(args, text):
             "alpha": angle.alpha,
             "ok": ok,
         }
-    dec = rot4.decompose_4d(m, args.tol)
+    dec = rot4._decompose(m, report)
     ok = (
         report.max_abs_gram_deviation <= args.tol
         and dec.rank1_residual <= args.tol

@@ -1,17 +1,30 @@
 """Fixed-size dense matrix/vector primitives.
 
 Values are plain float64 numpy arrays: shape (4,) vectors, (3, 3) and
-(4, 4) matrices. The ``as_*`` constructors validate shape and reject
-NaN/Inf up front; every public operation routes its inputs through them.
-All functions are pure and never mutate their arguments.
+(4, 4) matrices. The ``as_*`` constructors validate shape, reject NaN/Inf
+and return a C-ordered copy. Each public function of the scalar API
+(here and in quaternion, rot3 and rot4) validates its arguments once,
+at its boundary, and hands the validated values on as plain Python
+floats (``ndarray.tolist()``) to private cores: ``_det3``, ``_det4`` and
+``_gram_deviation`` here. A public function that calls another public
+one (``check_orthonormal`` computes its Gram matrix with ``mat_mul``)
+lets that one validate its own arguments. All functions are pure and
+never mutate their arguments.
 
-Determinants are evaluated by cofactor expansion along the first row
-(for both 3x3 and 4x4), and matrix products accumulate row-by-column
-left to right, so results are bit-stable on a given platform.
+The summation order is fixed, so results are bit-stable on a given
+platform and equal to the numpy-scalar loops these cores replaced:
+determinants are cofactor expansions along row 0 (for 4x4, each 3x3
+minor expanded the same way, the four terms added from 0.0 in column
+order); matrix products add their row-by-column products left to right
+starting from 0.0, so an entry whose products are all -0.0 is 0.0; the
+Gram deviation is the largest |(A^T A - I)[i][j]|, NaN when an entry is
+NaN, as numpy's max. Python's ``sum`` is not used: from Python 3.12 it
+adds floats with compensation, which gives other bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +41,12 @@ SIGN_EPS = 1e-12
 
 
 def _validated(a, shape, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
+    arr = np.array(a, dtype=np.float64, order="C")
     if arr.shape != shape:
         raise NonFiniteInput(f"{name}: expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteInput(f"{name}: entries must be finite")
-    return arr.copy()
+    return arr
 
 
 def as_vec4(v) -> np.ndarray:
@@ -71,21 +84,21 @@ class OrthogonalityReport:
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed accumulation order.
 
-    Entries are formed row-by-column, summing products left to right, so
-    that golden tests are reproducible bit-for-bit on one platform.
-    Accepts 3x3 or 4x4 pairs.
+    Entries are formed row-by-column, summing products left to right
+    from 0.0, so that golden tests are reproducible bit-for-bit on one
+    platform. Accepts 3x3 or 4x4 pairs.
     """
     n = _common_dim(a, b)
-    a = _validated(a, (n, n), "matrix")
-    b = _validated(b, (n, n), "matrix")
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0
-            for k in range(n):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
+    rows = _validated(a, (n, n), "matrix").tolist()
+    cols = _validated(b, (n, n), "matrix").T.tolist()
+    if n == 3:
+        out = [[0.0 + a0 * b0 + a1 * b1 + a2 * b2 for b0, b1, b2 in cols] for a0, a1, a2 in rows]
+    else:
+        out = [
+            [0.0 + a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 for b0, b1, b2, b3 in cols]
+            for a0, a1, a2, a3 in rows
+        ]
+    return np.array(out)
 
 
 def _common_dim(a, b) -> int:
@@ -96,31 +109,43 @@ def _common_dim(a, b) -> int:
     return a.shape[0]
 
 
+def _det3(rows) -> float:
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _det4(rows) -> np.float64:
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    # the 3x3 minors of row 0, each expanded as _det3 does
+    m0 = b1 * (c2 * d3 - c3 * d2) - b2 * (c1 * d3 - c3 * d1) + b3 * (c1 * d2 - c2 * d1)
+    m1 = b0 * (c2 * d3 - c3 * d2) - b2 * (c0 * d3 - c3 * d0) + b3 * (c0 * d2 - c2 * d0)
+    m2 = b0 * (c1 * d3 - c3 * d1) - b1 * (c0 * d3 - c3 * d0) + b3 * (c0 * d1 - c1 * d0)
+    m3 = b0 * (c1 * d2 - c2 * d1) - b1 * (c0 * d2 - c2 * d0) + b2 * (c0 * d1 - c1 * d0)
+    # A numpy scalar, as the looped expansion returned: its repr is part
+    # of decompose_4d's determinant message.
+    return np.float64(0.0 + a0 * m0 + -a1 * m1 + a2 * m2 + -a3 * m3)
+
+
 def det3(m: np.ndarray) -> float:
     """Determinant of a 3x3 matrix, cofactor expansion along row 0."""
-    m = as_mat3(m)
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
+    return _det3(as_mat3(m).tolist())
 
 
 def det4(m: np.ndarray) -> float:
     """Determinant of a 4x4 matrix, cofactor expansion along row 0."""
-    m = as_mat4(m)
-    total = 0.0
-    sign = 1.0
-    for j in range(4):
-        cols = [c for c in range(4) if c != j]
-        minor = m[1:, cols]
-        total += sign * m[0, j] * float(
-            minor[0, 0] * (minor[1, 1] * minor[2, 2] - minor[1, 2] * minor[2, 1])
-            - minor[0, 1] * (minor[1, 0] * minor[2, 2] - minor[1, 2] * minor[2, 0])
-            + minor[0, 2] * (minor[1, 0] * minor[2, 1] - minor[1, 1] * minor[2, 0])
-        )
-        sign = -sign
-    return total
+    return _det4(as_mat4(m).tolist())
+
+
+def _gram_deviation(gram) -> float:
+    """max |gram[i][j] - (i == j)| over a Gram matrix given as rows."""
+    devs = [abs(x - (i == j)) for i, row in enumerate(gram) for j, x in enumerate(row)]
+    dev = max(devs)
+    if not dev < math.inf:
+        # Python's max keeps a NaN only when it comes first; numpy's max
+        # returns it from anywhere. A NaN entry (inf - inf) comes with an
+        # infinite one, so only an infinite max needs the scan.
+        dev = next((d for d in devs if d != d), dev)
+    return dev
 
 
 def check_orthonormal(m: np.ndarray, tol: float = DEFAULT_TOL) -> OrthogonalityReport:
@@ -131,26 +156,22 @@ def check_orthonormal(m: np.ndarray, tol: float = DEFAULT_TOL) -> OrthogonalityR
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = np.asarray(m, dtype=np.float64)
-    if m.shape == (3, 3):
-        m = as_mat3(m)
-        det = det3(m)
-    elif m.shape == (4, 4):
-        m = as_mat4(m)
-        det = det4(m)
-    else:
+    if m.shape not in ((3, 3), (4, 4)):
         raise NonFiniteInput(f"orthonormality check: expected 3x3 or 4x4, got {m.shape}")
+    n = m.shape[0]
+    m = _validated(m, m.shape, f"mat{n}")
+    rows = m.tolist()
+    det = _det3(rows) if n == 3 else _det4(rows)
     gram = mat_mul(m.T, m)
-    deviation = float(np.max(np.abs(gram - np.eye(m.shape[0]))))
-    return OrthogonalityReport(deviation, det, tol)
+    return OrthogonalityReport(_gram_deviation(gram.tolist()), det, tol)
 
 
-def _require_orthonormal(m, tol: float, error: type[QuatrotError]) -> OrthogonalityReport:
-    """check_orthonormal(m, tol), raising ``error`` when the Gram
-    deviation exceeds tol."""
-    report = check_orthonormal(m, tol)
-    if report.max_abs_gram_deviation > tol:
+def _require_orthonormal(report: OrthogonalityReport, error: type[QuatrotError]) -> OrthogonalityReport:
+    """The report, after raising ``error`` when its Gram deviation
+    exceeds the tolerance it was made with."""
+    if report.max_abs_gram_deviation > report.tolerance_used:
         raise error(
-            f"orthogonality deviation {report.max_abs_gram_deviation:.3e} > tol {tol:.3e}"
+            f"orthogonality deviation {report.max_abs_gram_deviation:.3e} > tol {report.tolerance_used:.3e}"
         )
     return report
 

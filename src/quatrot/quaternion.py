@@ -7,10 +7,15 @@ is worth stating loudly: scalar FIRST, and a quaternion doubles as a plain
 
 Quaternions are float64 numpy arrays of shape (4,). ``as_unit`` silently
 renormalizes inputs whose norm is within 1e-6 of 1 (accumulated rounding)
-and rejects anything further out (a real error, not noise).
+and rejects anything further out (a real error, not noise). Each public
+function validates its argument once and computes on its four Python
+floats; the norm adds the four squares from 0.0 in index order, which is
+how numpy sums fewer than eight terms.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,19 +25,28 @@ from .linalg import as_vec4
 UNIT_WINDOW = 1e-6
 
 
-def as_unit(q) -> np.ndarray:
-    """Validated unit quaternion; normalizes within the 1e-6 window."""
-    q = as_vec4(q)
-    n = float(np.sqrt(np.sum(q * q)))
+def _norm(q) -> float:
+    w, x, y, z = q
+    return math.sqrt(0.0 + w * w + x * x + y * y + z * z)
+
+
+def _unit(q) -> list:
+    """The four floats of q divided by its norm; NotUnit outside the window."""
+    n = _norm(q)
     if abs(n - 1.0) > UNIT_WINDOW:
         raise NotUnit(f"quaternion norm {n!r} is not within {UNIT_WINDOW} of 1")
-    return q / n
+    return [c / n for c in q]
+
+
+def as_unit(q) -> np.ndarray:
+    """Validated unit quaternion; normalizes within the 1e-6 window."""
+    return np.array(_unit(as_vec4(q).tolist()))
 
 
 def quat_mul(a, b) -> np.ndarray:
     """Hamilton product a * b."""
-    aw, ax, ay, az = as_vec4(a)
-    bw, bx, by, bz = as_vec4(b)
+    aw, ax, ay, az = as_vec4(a).tolist()
+    bw, bx, by, bz = as_vec4(b).tolist()
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -45,13 +59,32 @@ def quat_mul(a, b) -> np.ndarray:
 
 def conjugate(q) -> np.ndarray:
     """(w, -x, -y, -z)."""
-    w, x, y, z = as_vec4(q)
+    w, x, y, z = as_vec4(q).tolist()
     return np.array([w, -x, -y, -z])
 
 
 def norm(q) -> float:
-    q = as_vec4(q)
-    return float(np.sqrt(np.sum(q * q)))
+    return _norm(as_vec4(q).tolist())
+
+
+def _left_rows(l) -> list:
+    a, b, c, d = l
+    return [
+        [a, -b, -c, -d],
+        [b, a, -d, c],
+        [c, d, a, -b],
+        [d, -c, b, a],
+    ]
+
+
+def _right_rows(r) -> list:
+    p, q, r_, s = r
+    return [
+        [p, -q, -r_, -s],
+        [q, p, s, -r_],
+        [r_, -s, p, q],
+        [s, r_, -q, p],
+    ]
 
 
 def left_matrix(l) -> np.ndarray:
@@ -60,15 +93,7 @@ def left_matrix(l) -> np.ndarray:
     left_matrix(l) @ q == quat_mul(l, q) for any quaternion q viewed as a
     4-vector in (w, x, y, z) order.
     """
-    a, b, c, d = as_unit(l)
-    return np.array(
-        [
-            [a, -b, -c, -d],
-            [b, a, -d, c],
-            [c, d, a, -b],
-            [d, -c, b, a],
-        ]
-    )
+    return np.array(_left_rows(_unit(as_vec4(l).tolist())))
 
 
 def right_matrix(r) -> np.ndarray:
@@ -76,12 +101,4 @@ def right_matrix(r) -> np.ndarray:
 
     right_matrix(r) @ q == quat_mul(q, r).
     """
-    p, q, r_, s = as_unit(r)
-    return np.array(
-        [
-            [p, -q, -r_, -s],
-            [q, p, s, -r_],
-            [r_, -s, p, q],
-            [s, r_, -q, p],
-        ]
-    )
+    return np.array(_right_rows(_unit(as_vec4(r).tolist())))

@@ -32,8 +32,16 @@ from .errors import (
     NotOrthogonal,
     OriginPoint,
 )
-from .linalg import DEFAULT_TOL, _require_orthonormal, as_mat3, canonical_sign
-from .quaternion import as_unit
+from .linalg import (
+    DEFAULT_TOL,
+    OrthogonalityReport,
+    _require_orthonormal,
+    as_mat3,
+    as_vec4,
+    canonical_sign,
+    check_orthonormal,
+)
+from .quaternion import _unit, as_unit
 
 BRANCHES = ("A", "B", "C", "D")
 
@@ -67,7 +75,7 @@ class ExtractionResult:
 
 def euler_rodrigues(q) -> np.ndarray:
     """3x3 rotation matrix of the unit quaternion (a, b, c, d)."""
-    a, b, c, d = as_unit(q)
+    a, b, c, d = _unit(as_vec4(q).tolist())
     return np.array(
         [
             [a * a + b * b - c * c - d * d, -2 * a * d + 2 * b * c, 2 * a * c + 2 * b * d],
@@ -83,10 +91,12 @@ def rotoreflection_matrix(q) -> np.ndarray:
     return -euler_rodrigues(q)
 
 
-def classify(m, tol: float = DEFAULT_TOL) -> IsometryKind:
-    """Rotation or rotoreflection, by the determinant of an orthogonal m."""
-    m = as_mat3(m)
-    report = _require_orthonormal(m, tol, NotOrthogonal)
+# The private cores below take a matrix that passed as_mat3 and the
+# OrthogonalityReport that check_orthonormal made of it, so a caller that
+# needs several answers about one matrix (the CLI) checks it once.
+
+def _kind(report: OrthogonalityReport) -> IsometryKind:
+    tol = report.tolerance_used
     if abs(report.determinant - 1.0) <= tol:
         return IsometryKind.ROTATION
     if abs(report.determinant + 1.0) <= tol:
@@ -95,22 +105,47 @@ def classify(m, tol: float = DEFAULT_TOL) -> IsometryKind:
     raise IndeterminateDeterminant(f"determinant {report.determinant!r} is far from both +1 and -1")
 
 
-def _ten_equation_residual(m: np.ndarray, q: np.ndarray) -> float:
+def _classify(report: OrthogonalityReport) -> IsometryKind:
+    return _kind(_require_orthonormal(report, NotOrthogonal))
+
+
+def classify(m, tol: float = DEFAULT_TOL) -> IsometryKind:
+    """Rotation or rotoreflection, by the determinant of an orthogonal m."""
+    m = as_mat3(m)
+    return _classify(check_orthonormal(m, tol))
+
+
+def _equations(rows) -> tuple:
+    """Right-hand sides of the ten equations, in _ten_equation_residual's
+    order: the four squares, then ab, ac, ad, cd, db, bc."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
+    return (
+        (1 + m00 + m11 + m22) / 4,
+        (1 + m00 - m11 - m22) / 4,
+        (1 - m00 + m11 - m22) / 4,
+        (1 - m00 - m11 + m22) / 4,
+        (m21 - m12) / 4,
+        (m02 - m20) / 4,
+        (m10 - m01) / 4,
+        (m21 + m12) / 4,
+        (m02 + m20) / 4,
+        (m10 + m01) / 4,
+    )
+
+
+def _ten_equation_residual(rhs: tuple, q) -> float:
     a, b, c, d = q
     lhs = (a * a, b * b, c * c, d * d, a * b, a * c, a * d, c * d, d * b, b * c)
-    rhs = (
-        (1 + m[0, 0] + m[1, 1] + m[2, 2]) / 4,
-        (1 + m[0, 0] - m[1, 1] - m[2, 2]) / 4,
-        (1 - m[0, 0] + m[1, 1] - m[2, 2]) / 4,
-        (1 - m[0, 0] - m[1, 1] + m[2, 2]) / 4,
-        (m[2, 1] - m[1, 2]) / 4,
-        (m[0, 2] - m[2, 0]) / 4,
-        (m[1, 0] - m[0, 1]) / 4,
-        (m[2, 1] + m[1, 2]) / 4,
-        (m[0, 2] + m[2, 0]) / 4,
-        (m[1, 0] + m[0, 1]) / 4,
-    )
     return max(abs(l - r) for l, r in zip(lhs, rhs))
+
+
+def _extract_rotation(
+    m: np.ndarray, report: OrthogonalityReport, refine: bool = False
+) -> ExtractionResult:
+    _require_orthonormal(report, NotARotation)
+    if _kind(report) is not IsometryKind.ROTATION:
+        raise NotARotation("determinant is -1; use extract_rotoreflection")
+    return _extract(m, report.tolerance_used, refine)
 
 
 def extract_rotation(m, tol: float = DEFAULT_TOL, refine: bool = False) -> ExtractionResult:
@@ -127,48 +162,43 @@ def extract_rotation(m, tol: float = DEFAULT_TOL, refine: bool = False) -> Extra
     InconsistentSystem if the ten equations disagree beyond tol.
     """
     m = as_mat3(m)
-    try:
-        kind = classify(m, tol)
-    except NotOrthogonal as exc:
-        raise NotARotation(str(exc)) from exc
-    if kind is not IsometryKind.ROTATION:
-        raise NotARotation("determinant is -1; use extract_rotoreflection")
-    result = _extract(m, tol)
-    if refine:
-        q = as_unit(result.params)
-        result = ExtractionResult(q, result.branch, _ten_equation_residual(m, q))
-    return result
+    return _extract_rotation(m, check_orthonormal(m, tol), refine)
 
 
-def _extract(m: np.ndarray, tol: float) -> ExtractionResult:
-    squares = (
-        (1 + m[0, 0] + m[1, 1] + m[2, 2]) / 4,
-        (1 + m[0, 0] - m[1, 1] - m[2, 2]) / 4,
-        (1 - m[0, 0] + m[1, 1] - m[2, 2]) / 4,
-        (1 - m[0, 0] - m[1, 1] + m[2, 2]) / 4,
-    )
-    ab = (m[2, 1] - m[1, 2]) / 4
-    ac = (m[0, 2] - m[2, 0]) / 4
-    ad = (m[1, 0] - m[0, 1]) / 4
-    cd = (m[2, 1] + m[1, 2]) / 4
-    db = (m[0, 2] + m[2, 0]) / 4
-    bc = (m[1, 0] + m[0, 1]) / 4
+def _extract(m: np.ndarray, tol: float, refine: bool = False) -> ExtractionResult:
+    rhs = _equations(m.tolist())
+    squares = rhs[:4]
+    ab, ac, ad, cd, db, bc = rhs[4:]
 
     k = max(range(4), key=lambda i: squares[i])
     seed = math.sqrt(max(squares[k], 0.0))
     if k == 0:
-        q = np.array([seed, ab / seed, ac / seed, ad / seed])
+        q = [seed, ab / seed, ac / seed, ad / seed]
     elif k == 1:
-        q = np.array([ab / seed, seed, bc / seed, db / seed])
+        q = [ab / seed, seed, bc / seed, db / seed]
     elif k == 2:
-        q = np.array([ac / seed, bc / seed, seed, cd / seed])
+        q = [ac / seed, bc / seed, seed, cd / seed]
     else:
-        q = np.array([ad / seed, db / seed, cd / seed, seed])
+        q = [ad / seed, db / seed, cd / seed, seed]
 
-    residual = _ten_equation_residual(m, q)
+    residual = _ten_equation_residual(rhs, q)
     if residual > tol:
         raise InconsistentSystem(f"ten-equation residual {residual:.3e} > tol {tol:.3e}")
-    return ExtractionResult(q * canonical_sign(q), BRANCHES[k], residual)
+    sign = canonical_sign(q)
+    params = np.array([c * sign for c in q])
+    if refine:
+        params = as_unit(params)
+        residual = _ten_equation_residual(rhs, params.tolist())
+    return ExtractionResult(params, BRANCHES[k], residual)
+
+
+def _extract_rotoreflection(
+    m: np.ndarray, report: OrthogonalityReport, refine: bool = False
+) -> ExtractionResult:
+    _require_orthonormal(report, NotARotoreflection)
+    if _kind(report) is not IsometryKind.ROTOREFLECTION:
+        raise NotARotoreflection("determinant is +1; use extract_rotation")
+    return _extract(-m, report.tolerance_used, refine)
 
 
 def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) -> ExtractionResult:
@@ -179,17 +209,20 @@ def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) ->
     det -1 matrix yields det +1, so the rotation extractor applies as-is.
     """
     m = as_mat3(m)
-    try:
-        kind = classify(m, tol)
-    except NotOrthogonal as exc:
-        raise NotARotoreflection(str(exc)) from exc
-    if kind is not IsometryKind.ROTOREFLECTION:
-        raise NotARotoreflection("determinant is +1; use extract_rotation")
-    result = _extract(-m, tol)
-    if refine:
-        q = as_unit(result.params)
-        result = ExtractionResult(q, result.branch, _ten_equation_residual(-m, q))
-    return result
+    return _extract_rotoreflection(m, check_orthonormal(m, tol), refine)
+
+
+def _rotation_angle(m: np.ndarray, report: OrthogonalityReport, kind: IsometryKind) -> AngleReport:
+    _require_orthonormal(report, NotOrthogonal)
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
+    trace = m00 + m11 + m22
+    if kind is IsometryKind.ROTATION:
+        cos_alpha = (trace - 1.0) / 2.0
+    else:
+        cos_alpha = (trace + 1.0) / 2.0
+    cos_alpha = min(1.0, max(-1.0, cos_alpha))
+    sin_alpha = math.hypot(m21 - m12, m02 - m20, m10 - m01) / 2.0
+    return AngleReport(math.atan2(sin_alpha, cos_alpha), cos_alpha)
 
 
 def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleReport:
@@ -203,15 +236,18 @@ def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleRepo
     0 and pi.
     """
     m = as_mat3(m)
-    report = _require_orthonormal(m, tol, NotOrthogonal)
-    trace = float(m[0, 0] + m[1, 1] + m[2, 2])
-    if kind is IsometryKind.ROTATION:
-        cos_alpha = (trace - 1.0) / 2.0
-    else:
-        cos_alpha = (trace + 1.0) / 2.0
-    cos_alpha = min(1.0, max(-1.0, cos_alpha))
-    sin_alpha = math.hypot(m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]) / 2.0
-    return AngleReport(math.atan2(sin_alpha, cos_alpha), cos_alpha)
+    return _rotation_angle(m, check_orthonormal(m, tol), kind)
+
+
+def _embed_4d(m: np.ndarray, report: OrthogonalityReport, kind: IsometryKind) -> np.ndarray:
+    _require_orthonormal(report, NotOrthogonal)
+    expected = 1.0 if kind is IsometryKind.ROTATION else -1.0
+    if abs(report.determinant - expected) > report.tolerance_used:
+        raise KindMismatch(f"determinant {report.determinant!r} does not match kind {kind.value}")
+    out = np.zeros((4, 4))
+    out[0, 0] = expected
+    out[1:, 1:] = m
+    return out
 
 
 def embed_4d(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -219,14 +255,7 @@ def embed_4d(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> np.ndarray:
     (rotoreflection) in the top-left corner, zero borders, m in the
     lower-right block. Both embeddings have det +1."""
     m = as_mat3(m)
-    report = _require_orthonormal(m, tol, NotOrthogonal)
-    expected = 1.0 if kind is IsometryKind.ROTATION else -1.0
-    if abs(report.determinant - expected) > tol:
-        raise KindMismatch(f"determinant {report.determinant!r} does not match kind {kind.value}")
-    out = np.zeros((4, 4))
-    out[0, 0] = expected
-    out[1:, 1:] = m
-    return out
+    return _embed_4d(m, check_orthonormal(m, tol), kind)
 
 
 def displaced_angle_cos(point, alpha: float, kind: IsometryKind) -> float:

@@ -26,13 +26,16 @@ import numpy as np
 from .errors import NotARotation, RankDeficiency
 from .linalg import (
     DEFAULT_TOL,
+    OrthogonalityReport,
     _require_orthonormal,
     as_mat4,
+    as_vec4,
     canonical_sign,
+    check_orthonormal,
     mat_mul,
     rank1_factor,
 )
-from .quaternion import as_unit, left_matrix, right_matrix
+from .quaternion import _left_rows, _right_rows, _unit, as_unit
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,12 @@ class QuatPairDecomposition:
 
 def compose_4d(l, r) -> np.ndarray:
     """4D rotation matrix M_L(l) @ M_R(r) for unit quaternions l, r."""
-    return mat_mul(left_matrix(as_unit(l)), right_matrix(as_unit(r)))
+    # Each factor is normalized twice, by as_unit and then by the unit check
+    # of its multiplication matrix; the second pass can move the last bit,
+    # and tests/data/scalar_parity.json holds the bits it gives.
+    l = _unit(_unit(as_vec4(l).tolist()))
+    r = _unit(_unit(as_vec4(r).tolist()))
+    return mat_mul(np.array(_left_rows(l)), np.array(_right_rows(r)))
 
 
 def associate_matrix(a) -> np.ndarray:
@@ -62,47 +70,43 @@ def associate_matrix(a) -> np.ndarray:
     Defined for any 4x4 input; the rank-1 and unit-norm properties hold
     exactly when the input is a rotation matrix. Linear in the input.
     """
-    a = as_mat4(a)
+    rows = as_mat4(a).tolist()
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
     return 0.25 * np.array(
         [
             [
-                a[0, 0] + a[1, 1] + a[2, 2] + a[3, 3],
-                a[1, 0] - a[0, 1] - a[3, 2] + a[2, 3],
-                a[2, 0] + a[3, 1] - a[0, 2] - a[1, 3],
-                a[3, 0] - a[2, 1] + a[1, 2] - a[0, 3],
+                a00 + a11 + a22 + a33,
+                a10 - a01 - a32 + a23,
+                a20 + a31 - a02 - a13,
+                a30 - a21 + a12 - a03,
             ],
             [
-                a[1, 0] - a[0, 1] + a[3, 2] - a[2, 3],
-                -a[0, 0] - a[1, 1] + a[2, 2] + a[3, 3],
-                a[3, 0] - a[2, 1] - a[1, 2] + a[0, 3],
-                -a[2, 0] - a[3, 1] - a[0, 2] - a[1, 3],
+                a10 - a01 + a32 - a23,
+                -a00 - a11 + a22 + a33,
+                a30 - a21 - a12 + a03,
+                -a20 - a31 - a02 - a13,
             ],
             [
-                a[2, 0] - a[3, 1] - a[0, 2] + a[1, 3],
-                -a[3, 0] - a[2, 1] - a[1, 2] - a[0, 3],
-                -a[0, 0] + a[1, 1] - a[2, 2] + a[3, 3],
-                a[1, 0] + a[0, 1] - a[3, 2] - a[2, 3],
+                a20 - a31 - a02 + a13,
+                -a30 - a21 - a12 - a03,
+                -a00 + a11 - a22 + a33,
+                a10 + a01 - a32 - a23,
             ],
             [
-                a[3, 0] + a[2, 1] - a[1, 2] - a[0, 3],
-                a[2, 0] - a[3, 1] + a[0, 2] - a[1, 3],
-                -a[1, 0] - a[0, 1] - a[3, 2] - a[2, 3],
-                -a[0, 0] + a[1, 1] + a[2, 2] - a[3, 3],
+                a30 + a21 - a12 - a03,
+                a20 - a31 + a02 - a13,
+                -a10 - a01 - a32 - a23,
+                -a00 + a11 + a22 - a33,
             ],
         ]
     )
 
 
-def decompose_4d(a, tol: float = DEFAULT_TOL) -> QuatPairDecomposition:
-    """Recover the unit quaternion pair (L, R) of a 4D rotation matrix.
-
-    Raises NotARotation when the input fails the orthogonality gate or has
-    determinant -1 (4D rotoreflections are out of scope), RankDeficiency
-    when the associate matrix is not rank 1 within tol (an input that
-    sneaked past the orthogonality gate but is not a rotation).
-    """
-    a = as_mat4(a)
-    report = _require_orthonormal(a, tol, NotARotation)
+def _decompose(a: np.ndarray, report: OrthogonalityReport) -> QuatPairDecomposition:
+    """decompose_4d of a matrix that passed as_mat4, given the
+    OrthogonalityReport that check_orthonormal made of it."""
+    tol = report.tolerance_used
+    _require_orthonormal(report, NotARotation)
     if abs(report.determinant - 1.0) > tol:
         raise NotARotation(f"determinant {report.determinant!r} is not +1")
     m = associate_matrix(a)
@@ -118,3 +122,15 @@ def decompose_4d(a, tol: float = DEFAULT_TOL) -> QuatPairDecomposition:
     recon = compose_4d(left, right)
     err = float(np.sqrt(np.sum((a - recon) ** 2)))
     return QuatPairDecomposition(left, right, residual, err)
+
+
+def decompose_4d(a, tol: float = DEFAULT_TOL) -> QuatPairDecomposition:
+    """Recover the unit quaternion pair (L, R) of a 4D rotation matrix.
+
+    Raises NotARotation when the input fails the orthogonality gate or has
+    determinant -1 (4D rotoreflections are out of scope), RankDeficiency
+    when the associate matrix is not rank 1 within tol (an input that
+    sneaked past the orthogonality gate but is not a rotation).
+    """
+    a = as_mat4(a)
+    return _decompose(a, check_orthonormal(a, tol))

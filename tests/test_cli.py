@@ -189,3 +189,42 @@ def test_same_seed_same_bytes(cli_env):
     second = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
     assert first.stdout == second.stdout
     assert first.stdout
+
+
+# --- one orthogonality check per command -----------------------------------
+
+ROT3 = [[0.36, 0.48, -0.8], [-0.8, 0.6, 0.0], [0.48, 0.64, 0.6]]
+
+
+@pytest.mark.parametrize(
+    "args, matrix",
+    [
+        (["verify"], ROT3),
+        (["verify"], np.eye(4).tolist()),
+        (["classify"], ROT3),
+        (["angle"], ROT3),
+        (["embed"], ROT3),
+        (["mat2quat"], ROT3),
+        (["mat2quat", "--kind", "rotation"], ROT3),
+        (["mat2quat", "--kind", "rotoreflection"], (-np.array(ROT3)).tolist()),
+        (["decompose4"], np.eye(4).tolist()),
+    ],
+)
+def test_each_matrix_command_checks_orthogonality_once(args, matrix, monkeypatch, capsys):
+    import quatrot
+    from quatrot import linalg
+
+    real = linalg.check_orthonormal
+    calls = []
+
+    def counted(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    # wherever a module bound the function, as a tracer installed from outside would
+    for module in (getattr(quatrot, name) for name in ("linalg", "quaternion", "rot3", "rot4", "rng", "cli")):
+        if getattr(module, "check_orthonormal", None) is real:
+            monkeypatch.setattr(module, "check_orthonormal", counted)
+    code, _, err = run_cli(args, json.dumps({"matrix": matrix}), monkeypatch, capsys)
+    assert code == 0, err
+    assert len(calls) == 1
