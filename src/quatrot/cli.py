@@ -161,12 +161,6 @@ def _require_dim(m, dim, command):
 # The 3x3 commands check the matrix once and hand the report to rot3's
 # private cores, which raise what the public functions raise.
 
-def _extract(m, report, kind):
-    if kind is IsometryKind.ROTATION:
-        return rot3._extract_rotation(m, report)
-    return rot3._extract_rotoreflection(m, report)
-
-
 def _cmd_mat2quat(args, text):
     m = parse_matrix(text, args.format)
     _require_dim(m, 3, "mat2quat")
@@ -177,7 +171,7 @@ def _cmd_mat2quat(args, text):
         kind = IsometryKind.ROTOREFLECTION
     else:
         kind = rot3._kind(_require_orthonormal(report, NotARotation))
-    result = _extract(m, report, kind)
+    result = rot3._extract(m, report, kind)
     return {
         "quaternion": _quat_obj(result.params),
         "residual": result.residual,
@@ -246,7 +240,7 @@ def _cmd_verify(args, text):
     report = check_orthonormal(m, args.tol)
     if m.shape == (3, 3):
         kind = rot3._classify(report)
-        result = _extract(m, report, kind)
+        result = rot3._extract(m, report, kind)
         angle = rot3._rotation_angle(m, report, kind)
         ok = report.max_abs_gram_deviation <= args.tol and result.residual <= args.tol
         return {

@@ -23,6 +23,11 @@ entries of associate and compose that do not sum it become NaN (0 * inf),
 where the earlier per-entry sums left them finite. Other rows are not
 affected.
 
+The two 3D kernels evaluate rot3's formulas, not copies of them:
+Euler-Rodrigues evaluates ``rot3._er_entries`` on the block's component
+rows, and extract builds its product table from ``rot3._equations`` and
+indexes it with rot3's pair and branch tables.
+
 Component-major blocks: decompose, extract and Euler-Rodrigues transpose
 their block once into a contiguous (k, b) array, row i holding component
 i of every row, compute on that layout and write their results back
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import rot3
 from .linalg import SIGN_EPS
 from .rot4 import associate_matrix
 
@@ -63,12 +69,11 @@ _BLOCK = 4096
 _ASSOC = np.stack([associate_matrix(e.reshape(4, 4)).ravel() for e in np.eye(16)])
 _COMPOSE = np.ascontiguousarray(4.0 * _ASSOC.T)
 
-# Extract's product table keeps the ten unique entries p_ij = q_i q_j,
-# (i, j) = _PAIRS[:, k], in the order of rot3's ten equations; row i of
-# the symmetric 4x4 table is then t[_TABLE_ROWS[i]].
-_PAIRS = np.array([(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (2, 3), (1, 3), (1, 2)]).T
-_TABLE_ROWS = np.empty((4, 4), dtype=np.int64)
-_TABLE_ROWS[_PAIRS[0], _PAIRS[1]] = _TABLE_ROWS[_PAIRS[1], _PAIRS[0]] = np.arange(10)
+# Extract's product table keeps the right-hand sides of rot3's ten
+# equations, p_ij for (i, j) = _PAIRS[:, e]; row i of the symmetric 4x4
+# table is t[_TABLE_ROWS[i]].
+_PAIRS = np.array(rot3._PAIRS).T
+_TABLE_ROWS = np.array(rot3._ROWS)
 _COMPONENTS = np.arange(4)[:, None]
 
 
@@ -129,23 +134,7 @@ def _signs(q: np.ndarray) -> np.ndarray:
 
 
 def _euler_rodrigues(q: np.ndarray, out: np.ndarray) -> None:
-    a, b, c, d = _component_major(q)
-    # rot3's entries with each product formed once: (-2a)d = -((2a)d) and
-    # x + (-y) = x - y exactly, so -2ad + 2bc is bc - ad to the bit.
-    aa, bb, cc, dd = a * a, b * b, c * c, d * d
-    a2, b2, c2 = 2 * a, 2 * b, 2 * c
-    ab, ac, ad, bc, bd, cd = a2 * b, a2 * c, a2 * d, b2 * c, b2 * d, c2 * d
-    r = np.empty((9, len(a)))
-    r[0] = aa + bb - cc - dd
-    np.subtract(bc, ad, out=r[1])
-    np.add(ac, bd, out=r[2])
-    np.add(ad, bc, out=r[3])
-    r[4] = aa - bb + cc - dd
-    np.subtract(cd, ab, out=r[5])
-    np.subtract(bd, ac, out=r[6])
-    np.add(ab, cd, out=r[7])
-    r[8] = aa - bb - cc + dd
-    out.reshape(-1, 9)[:] = r.T
+    out.reshape(-1, 9)[:] = np.array(rot3._er_entries(*_component_major(q))).T
 
 
 def batch_euler_rodrigues(q: np.ndarray) -> np.ndarray:
@@ -155,21 +144,7 @@ def batch_euler_rodrigues(q: np.ndarray) -> np.ndarray:
 
 
 def _extract_rotation(m, q_out, branch_out, residual_out) -> None:
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = _component_major(m)
-    # The ten unique entries p_ij = q_i q_j of the product table as the
-    # matrix gives them, in _PAIRS order: the four squares, then the six
-    # cross terms.
-    t = np.empty((10, len(m00)))
-    t[0] = (1 + m00 + m11 + m22) / 4
-    t[1] = (1 + m00 - m11 - m22) / 4
-    t[2] = (1 - m00 + m11 - m22) / 4
-    t[3] = (1 - m00 - m11 + m22) / 4
-    t[4] = (m21 - m12) / 4
-    t[5] = (m02 - m20) / 4
-    t[6] = (m10 - m01) / 4
-    t[7] = (m21 + m12) / 4
-    t[8] = (m02 + m20) / 4
-    t[9] = (m10 + m01) / 4
+    t = np.array(rot3._equations(_component_major(m).reshape(3, 3, -1)))
 
     # Seed from the largest square; the other components are its row of
     # the table divided by the seed.

@@ -114,16 +114,14 @@ def _det3(rows) -> float:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _det4(rows) -> np.float64:
+def _det4(rows) -> float:
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
     # the 3x3 minors of row 0, each expanded as _det3 does
     m0 = b1 * (c2 * d3 - c3 * d2) - b2 * (c1 * d3 - c3 * d1) + b3 * (c1 * d2 - c2 * d1)
     m1 = b0 * (c2 * d3 - c3 * d2) - b2 * (c0 * d3 - c3 * d0) + b3 * (c0 * d2 - c2 * d0)
     m2 = b0 * (c1 * d3 - c3 * d1) - b1 * (c0 * d3 - c3 * d0) + b3 * (c0 * d1 - c1 * d0)
     m3 = b0 * (c1 * d2 - c2 * d1) - b1 * (c0 * d2 - c2 * d0) + b2 * (c0 * d1 - c1 * d0)
-    # A numpy scalar, as the looped expansion returned: its repr is part
-    # of decompose_4d's determinant message.
-    return np.float64(0.0 + a0 * m0 + -a1 * m1 + a2 * m2 + -a3 * m3)
+    return 0.0 + a0 * m0 + -a1 * m1 + a2 * m2 + -a3 * m3
 
 
 def det3(m: np.ndarray) -> float:
@@ -167,9 +165,10 @@ def check_orthonormal(m: np.ndarray, tol: float = DEFAULT_TOL) -> OrthogonalityR
 
 
 def _require_orthonormal(report: OrthogonalityReport, error: type[QuatrotError]) -> OrthogonalityReport:
-    """The report, after raising ``error`` when its Gram deviation
-    exceeds the tolerance it was made with."""
-    if report.max_abs_gram_deviation > report.tolerance_used:
+    """The report, after raising ``error`` unless its Gram deviation is
+    within the tolerance it was made with: a NaN deviation (a Gram entry
+    overflowed) fails too."""
+    if not report.max_abs_gram_deviation <= report.tolerance_used:
         raise error(
             f"orthogonality deviation {report.max_abs_gram_deviation:.3e} > tol {report.tolerance_used:.3e}"
         )

@@ -8,6 +8,12 @@ from a 3x3 matrix, ten redundant quadratic equations determine the
 parameters up to a global sign, and their mutual consistency doubles as
 a certificate that the input really is a rotation matrix.
 
+The Euler-Rodrigues entries (``_er_entries``) and the ten equations
+(``_equations``, ``_PAIRS``, ``_ROWS``) are written once, here: they take
+Python floats from the scalar API, and ``kernels`` evaluates the same
+functions on the component rows of its blocks, so both paths give the
+same bits.
+
 Kind detection is purely the determinant sign: +1 rotation, -1
 rotoreflection. Angles come from the trace: trace = 2 cos(alpha) + 1 for
 rotations, 2 cos(alpha) - 1 for rotoreflections; the skew part gives
@@ -73,16 +79,30 @@ class ExtractionResult:
     residual: float
 
 
-def euler_rodrigues(q) -> np.ndarray:
-    """3x3 rotation matrix of the unit quaternion (a, b, c, d)."""
-    a, b, c, d = _unit(as_vec4(q).tolist())
-    return np.array(
-        [
-            [a * a + b * b - c * c - d * d, -2 * a * d + 2 * b * c, 2 * a * c + 2 * b * d],
-            [2 * a * d + 2 * b * c, a * a - b * b + c * c - d * d, -2 * a * b + 2 * c * d],
-            [-2 * a * c + 2 * b * d, 2 * a * b + 2 * c * d, a * a - b * b - c * c + d * d],
-        ]
+def _er_entries(a, b, c, d) -> tuple:
+    """The nine entries of the Euler-Rodrigues matrix of (a, b, c, d),
+    row-major, on floats or on equal-length arrays (``kernels`` passes the
+    component rows of a block). Each product is formed once: (-2a)d is
+    -((2a)d) and x + (-y) is x - y exactly, so -2ad + 2bc is bc - ad to
+    the bit, signed zeros included."""
+    aa, bb, cc, dd = a * a, b * b, c * c, d * d
+    a2, b2, c2 = 2 * a, 2 * b, 2 * c
+    ab, ac, ad, bc, bd, cd = a2 * b, a2 * c, a2 * d, b2 * c, b2 * d, c2 * d
+    return (
+        aa + bb - cc - dd, bc - ad, ac + bd,
+        ad + bc, aa - bb + cc - dd, cd - ab,
+        bd - ac, ab + cd, aa - bb - cc + dd,
     )
+
+
+def euler_rodrigues(q) -> np.ndarray:
+    """3x3 rotation matrix of the unit quaternion (a, b, c, d):
+
+        [[a^2 + b^2 - c^2 - d^2, 2bc - 2ad, 2ac + 2bd],
+         [2ad + 2bc, a^2 - b^2 + c^2 - d^2, 2cd - 2ab],
+         [2bd - 2ac, 2ab + 2cd, a^2 - b^2 - c^2 + d^2]]
+    """
+    return np.array(_er_entries(*_unit(as_vec4(q).tolist()))).reshape(3, 3)
 
 
 def rotoreflection_matrix(q) -> np.ndarray:
@@ -101,7 +121,7 @@ def _kind(report: OrthogonalityReport) -> IsometryKind:
         return IsometryKind.ROTATION
     if abs(report.determinant + 1.0) <= tol:
         return IsometryKind.ROTOREFLECTION
-    # unreachable for orthogonal inputs; defensive
+    # reached only when a loose tol lets a non-orthogonal matrix through
     raise IndeterminateDeterminant(f"determinant {report.determinant!r} is far from both +1 and -1")
 
 
@@ -115,9 +135,18 @@ def classify(m, tol: float = DEFAULT_TOL) -> IsometryKind:
     return _classify(check_orthonormal(m, tol))
 
 
+# The ten equations q_i q_j = rhs[e] of a rotation matrix, (i, j) =
+# _PAIRS[e]: the four squares, then ab, ac, ad, cd, bd, bc. _ROWS[k][i] is
+# the equation of the product q_k q_i, so a seed q_k gives every other
+# component as rhs[_ROWS[k][i]] / q_k.
+_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (2, 3), (1, 3), (1, 2))
+_ROWS = tuple(tuple(_PAIRS.index((min(k, i), max(k, i))) for i in range(4)) for k in range(4))
+
+
 def _equations(rows) -> tuple:
-    """Right-hand sides of the ten equations, in _ten_equation_residual's
-    order: the four squares, then ab, ac, ad, cd, db, bc."""
+    """Right-hand sides of the ten equations, in _PAIRS order, from the
+    rows of a 3x3 matrix: floats, or equal-length arrays (``kernels``
+    passes a component-major block)."""
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
     return (
         (1 + m00 + m11 + m22) / 4,
@@ -134,18 +163,40 @@ def _equations(rows) -> tuple:
 
 
 def _ten_equation_residual(rhs: tuple, q) -> float:
-    a, b, c, d = q
-    lhs = (a * a, b * b, c * c, d * d, a * b, a * c, a * d, c * d, d * b, b * c)
-    return max(abs(l - r) for l, r in zip(lhs, rhs))
+    return max(abs(q[i] * q[j] - r) for (i, j), r in zip(_PAIRS, rhs))
 
 
-def _extract_rotation(
-    m: np.ndarray, report: OrthogonalityReport, refine: bool = False
+# What each kind's extractor raises, and its message for the other kind.
+_EXTRACT_ERRORS = {
+    IsometryKind.ROTATION: (NotARotation, "determinant is -1; use extract_rotoreflection"),
+    IsometryKind.ROTOREFLECTION: (NotARotoreflection, "determinant is +1; use extract_rotation"),
+}
+
+
+def _extract(
+    m: np.ndarray, report: OrthogonalityReport, kind: IsometryKind, refine: bool = False
 ) -> ExtractionResult:
-    _require_orthonormal(report, NotARotation)
-    if _kind(report) is not IsometryKind.ROTATION:
-        raise NotARotation("determinant is -1; use extract_rotoreflection")
-    return _extract(m, report.tolerance_used, refine)
+    error, other_kind = _EXTRACT_ERRORS[kind]
+    _require_orthonormal(report, error)
+    if _kind(report) is not kind:
+        raise error(other_kind)
+    tol = report.tolerance_used
+    rhs = _equations((m if kind is IsometryKind.ROTATION else -m).tolist())
+
+    k = max(range(4), key=lambda i: rhs[i])
+    seed = math.sqrt(max(rhs[k], 0.0))
+    q = [rhs[e] / seed for e in _ROWS[k]]
+    q[k] = seed
+
+    residual = _ten_equation_residual(rhs, q)
+    if residual > tol:
+        raise InconsistentSystem(f"ten-equation residual {residual:.3e} > tol {tol:.3e}")
+    sign = canonical_sign(q)
+    params = np.array([c * sign for c in q])
+    if refine:
+        params = as_unit(params)
+        residual = _ten_equation_residual(rhs, params.tolist())
+    return ExtractionResult(params, BRANCHES[k], residual)
 
 
 def extract_rotation(m, tol: float = DEFAULT_TOL, refine: bool = False) -> ExtractionResult:
@@ -162,43 +213,7 @@ def extract_rotation(m, tol: float = DEFAULT_TOL, refine: bool = False) -> Extra
     InconsistentSystem if the ten equations disagree beyond tol.
     """
     m = as_mat3(m)
-    return _extract_rotation(m, check_orthonormal(m, tol), refine)
-
-
-def _extract(m: np.ndarray, tol: float, refine: bool = False) -> ExtractionResult:
-    rhs = _equations(m.tolist())
-    squares = rhs[:4]
-    ab, ac, ad, cd, db, bc = rhs[4:]
-
-    k = max(range(4), key=lambda i: squares[i])
-    seed = math.sqrt(max(squares[k], 0.0))
-    if k == 0:
-        q = [seed, ab / seed, ac / seed, ad / seed]
-    elif k == 1:
-        q = [ab / seed, seed, bc / seed, db / seed]
-    elif k == 2:
-        q = [ac / seed, bc / seed, seed, cd / seed]
-    else:
-        q = [ad / seed, db / seed, cd / seed, seed]
-
-    residual = _ten_equation_residual(rhs, q)
-    if residual > tol:
-        raise InconsistentSystem(f"ten-equation residual {residual:.3e} > tol {tol:.3e}")
-    sign = canonical_sign(q)
-    params = np.array([c * sign for c in q])
-    if refine:
-        params = as_unit(params)
-        residual = _ten_equation_residual(rhs, params.tolist())
-    return ExtractionResult(params, BRANCHES[k], residual)
-
-
-def _extract_rotoreflection(
-    m: np.ndarray, report: OrthogonalityReport, refine: bool = False
-) -> ExtractionResult:
-    _require_orthonormal(report, NotARotoreflection)
-    if _kind(report) is not IsometryKind.ROTOREFLECTION:
-        raise NotARotoreflection("determinant is +1; use extract_rotation")
-    return _extract(-m, report.tolerance_used, refine)
+    return _extract(m, check_orthonormal(m, tol), IsometryKind.ROTATION, refine)
 
 
 def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) -> ExtractionResult:
@@ -209,7 +224,7 @@ def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) ->
     det -1 matrix yields det +1, so the rotation extractor applies as-is.
     """
     m = as_mat3(m)
-    return _extract_rotoreflection(m, check_orthonormal(m, tol), refine)
+    return _extract(m, check_orthonormal(m, tol), IsometryKind.ROTOREFLECTION, refine)
 
 
 def _rotation_angle(m: np.ndarray, report: OrthogonalityReport, kind: IsometryKind) -> AngleReport:

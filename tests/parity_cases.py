@@ -2,7 +2,8 @@
 
 ``tests/data/scalar_parity.json`` holds seeded inputs (noisy near-rotations
 and rotoreflections, unit and near-unit quaternions, exact integer
-matrices, wrong shapes and non-finite entries) and, for every call that
+matrices, wrong shapes, non-finite entries, and a scaled identity that
+passes a loose gate with a determinant far from +-1) and, for every call that
 ``calls`` builds from them, the outcome the library gave when the file
 was recorded: the bytes of each returned float and array, or the error's
 class, ``code`` and message. ``test_scalar_parity.py`` replays the calls
@@ -95,6 +96,8 @@ def make_inputs(seed: int = FIXTURE_SEED) -> dict:
         "exact4": exact4,
         "far3": m3[:4] * 1.001,
         "huge3": np.array([[1e200, 1e200, 0.0], [1e200, -1e200, 0.0], [0.0, 0.0, 1.0]])[None],
+        # passes the gate at tol 0.5 with determinant 1.728, far from +-1
+        "scaled3": 1.2 * np.eye(3)[None],
     }
 
 
@@ -185,6 +188,9 @@ def calls(inp: dict):
     for i, m in enumerate(inp["huge3"]):
         for fn in ("linalg.det3", "linalg.check_orthonormal", "rot3.classify", "rot3.extract_rotation"):
             yield f"{fn}/huge3/{i}", fn, (m.copy(),), {}
+    for i, m in enumerate(inp["scaled3"]):
+        for fn in ("rot3.classify", "rot3.extract_rotation", "rot3.extract_rotoreflection"):
+            yield f"{fn}/scaled3/{i}", fn, (m.copy(),), {"tol": 0.5}
 
     for name, mats in (("m4", m4), ("exact4", inp["exact4"])):
         for i, a in enumerate(mats):
@@ -320,6 +326,8 @@ def cli_calls(inp: dict):
     nan4[0][0] = float("nan")
     for argv in (["verify"], ["decompose4"]):
         yield f"cli/m4/nan/{argv[0]}", argv, json.dumps({"matrix": nan4})
+    for argv in (["classify", "--tol", "0.5"], ["verify", "--tol", "0.5"]):
+        yield f"cli/scaled/{' '.join(argv)}", argv, text(inp["scaled3"][0])
 
 
 def cli_outcome(argv, stdin):

@@ -140,6 +140,13 @@ def test_decompose4_rejects_det_minus_one(monkeypatch, capsys):
     assert json.loads(err)["error"] == "not_a_rotation"
 
 
+def test_decompose4_rejects_an_overflowing_gram_matrix(monkeypatch, capsys):
+    m = [[1e200, 1e200, 1e200, 0], [1e200, -1e200, 1e200, 0], [1e200, 1e200, -1e200, 0], [0, 0, 0, 1]]
+    code, out, err = run_cli(["decompose4"], json.dumps({"matrix": m}), monkeypatch, capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "not_a_rotation"
+
+
 def test_mat2quat_forced_rotoreflection_on_rotation(monkeypatch, capsys):
     code, _, err = run_cli(
         ["mat2quat", "--kind", "rotoreflection"],

@@ -13,6 +13,7 @@ from quatrot.errors import (
     NotOrthogonal,
     OriginPoint,
 )
+from quatrot.linalg import OrthogonalityReport
 from quatrot.quaternion import conjugate
 from quatrot.rng import Xorshift64Star, random_unit_quaternion
 from quatrot.rot3 import (
@@ -162,11 +163,12 @@ def test_extract_rejects_rotoreflection_and_junk():
 
 
 def test_inconsistent_system_detected():
-    # reachable only past the orthogonality gate, so poke the solver directly
+    # reachable only past the orthogonality gate, so hand the solver a
+    # report that passes it
     m = np.eye(3)
     m[0, 1] = 0.1
     with pytest.raises(InconsistentSystem):
-        _extract(m, 1e-9)
+        _extract(m, OrthogonalityReport(0.0, 1.0, 1e-9), IsometryKind.ROTATION)
 
 
 def test_extract_rotoreflection_examples():

@@ -121,6 +121,21 @@ def test_decompose_rejects_non_orthogonal():
         decompose_4d(np.diag([2.0, 1.0, 1.0, 1.0]))
 
 
+# Finite, but its Gram products overflow: the Gram deviation and the
+# determinant are NaN, and a NaN deviation must fail the gate.
+OVERFLOWING_GRAM = [
+    [1e200, 1e200, 1e200, 0.0],
+    [1e200, -1e200, 1e200, 0.0],
+    [1e200, 1e200, -1e200, 0.0],
+    [0.0, 0.0, 0.0, 1.0],
+]
+
+
+def test_decompose_rejects_an_overflowing_gram_matrix():
+    with pytest.raises(NotARotation, match="orthogonality deviation nan"):
+        decompose_4d(OVERFLOWING_GRAM)
+
+
 def test_rank_deficiency_is_surfaced(monkeypatch):
     # {orthogonal, det +1} implies rank-1 associate, so this gate is
     # defensive; force a fat residual to check it trips

@@ -1,9 +1,10 @@
 """The scalar API gives the recorded bytes, errors and messages.
 
 ``data/scalar_parity.json`` was recorded before the scalar functions moved
-to validate-once cores on Python floats; every output must still match it
-byte for byte and every error in class, ``code`` and message (see
-``parity_cases.py``). The property tests compare the float cores with
+to validate-once cores on Python floats, and recorded again only where an
+output changed on purpose (each time noted in CHANGES.md); every output
+must match it byte for byte and every error in class, ``code`` and
+message (see ``parity_cases.py``). The property tests compare the float cores with
 test-local copies of the numpy-scalar formulas they replaced.
 """
 
