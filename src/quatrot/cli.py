@@ -6,7 +6,10 @@ embed, random, verify. Input comes from --input PATH or stdin, as JSON
 {"left": ..., "right": ...} for compose4) or as plain text (whitespace-
 separated numbers, one matrix row per line). Output is always JSON on
 stdout, with numbers printed to 17 significant digits so values
-round-trip through double precision exactly.
+round-trip through double precision exactly. A matrix command parses its
+matrix and checks it once (``_checked``), then hands the one report to
+the private cores of rot3 and rot4, which raise what the public
+functions raise. --tol must lie in (0, 1).
 
 Exit codes: 0 success, 2 parse/validation error, 3 mathematical
 rejection (input passed parsing but is not the kind of matrix the
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import rot3, rot4
 from .errors import NonFiniteInput, NotARotation, NotUnit, QuatrotError
-from .linalg import _require_orthonormal, check_orthonormal, det3
+from .linalg import _require_orthonormal, check_orthonormal
 from .rng import random_rotation
 from .rot3 import IsometryKind
 
@@ -153,18 +156,17 @@ def _cmd_quat2mat(args, text):
     return {"matrix": m, "kind": kind}
 
 
-def _require_dim(m, dim, command):
-    if m.shape[0] != dim:
-        raise ParseError(f"{command} needs a {dim}x{dim} matrix, got {m.shape[0]}x{m.shape[0]}")
+def _checked(args, text, dim=None):
+    """The parsed matrix, of size dim when given, and its one
+    OrthogonalityReport, which the command hands to the private cores."""
+    m = parse_matrix(text, args.format)
+    if dim is not None and m.shape[0] != dim:
+        raise ParseError(f"{args.command} needs a {dim}x{dim} matrix, got {m.shape[0]}x{m.shape[0]}")
+    return m, check_orthonormal(m, args.tol)
 
-
-# The 3x3 commands check the matrix once and hand the report to rot3's
-# private cores, which raise what the public functions raise.
 
 def _cmd_mat2quat(args, text):
-    m = parse_matrix(text, args.format)
-    _require_dim(m, 3, "mat2quat")
-    report = check_orthonormal(m, args.tol)
+    m, report = _checked(args, text, 3)
     if args.kind == "rotation":
         kind = IsometryKind.ROTATION
     elif args.kind == "rotoreflection":
@@ -181,9 +183,8 @@ def _cmd_mat2quat(args, text):
 
 
 def _cmd_decompose4(args, text):
-    m = parse_matrix(text, args.format)
-    _require_dim(m, 4, "decompose4")
-    dec = rot4.decompose_4d(m, args.tol)
+    m, report = _checked(args, text, 4)
+    dec = rot4._decompose(m, report)
     return {
         "left": _quat_obj(dec.left),
         "right": _quat_obj(dec.right),
@@ -198,25 +199,19 @@ def _cmd_compose4(args, text):
 
 
 def _cmd_classify(args, text):
-    m = parse_matrix(text, args.format)
-    _require_dim(m, 3, "classify")
-    kind = rot3.classify(m, args.tol)
-    return {"kind": kind.value, "det": det3(m)}
+    _, report = _checked(args, text, 3)
+    return {"kind": rot3._classify(report).value, "det": report.determinant}
 
 
 def _cmd_angle(args, text):
-    m = parse_matrix(text, args.format)
-    _require_dim(m, 3, "angle")
-    report = check_orthonormal(m, args.tol)
+    m, report = _checked(args, text, 3)
     kind = rot3._classify(report)
     angle = rot3._rotation_angle(m, report, kind)
     return {"kind": kind.value, "alpha": angle.alpha, "cos_alpha": angle.cos_alpha}
 
 
 def _cmd_embed(args, text):
-    m = parse_matrix(text, args.format)
-    _require_dim(m, 3, "embed")
-    report = check_orthonormal(m, args.tol)
+    m, report = _checked(args, text, 3)
     kind = rot3._classify(report)
     return {"kind": kind.value, "matrix": rot3._embed_4d(m, report, kind)}
 
@@ -236,8 +231,7 @@ def _cmd_random(args, text):
 
 
 def _cmd_verify(args, text):
-    m = parse_matrix(text, args.format)
-    report = check_orthonormal(m, args.tol)
+    m, report = _checked(args, text)
     if m.shape == (3, 3):
         kind = rot3._classify(report)
         result = rot3._extract(m, report, kind)
@@ -318,8 +312,8 @@ def _fail(code: str, detail: str, exit_code: int) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol <= 0:
-        return _fail("parse_error", "--tol must be positive", EXIT_PARSE)
+    if not 0.0 < args.tol < 1.0:
+        return _fail("parse_error", "--tol must be in (0, 1)", EXIT_PARSE)
     text = ""
     if args.command in _NEEDS_INPUT:
         try:

@@ -150,9 +150,11 @@ def check_orthonormal(m: np.ndarray, tol: float = DEFAULT_TOL) -> OrthogonalityR
     """Report how far m is from being orthonormal, plus its determinant.
 
     Never raises on bad geometry: callers inspect the report and decide.
+    Raises ValueError unless 0 < tol < 1: from tol 1 up, the windows
+    around determinant +1 and -1 overlap, and a NaN tol fails every gate.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must be in (0, 1)")
     m = np.asarray(m, dtype=np.float64)
     if m.shape not in ((3, 3), (4, 4)):
         raise NonFiniteInput(f"orthonormality check: expected 3x3 or 4x4, got {m.shape}")

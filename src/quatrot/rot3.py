@@ -129,6 +129,12 @@ def _classify(report: OrthogonalityReport) -> IsometryKind:
     return _kind(_require_orthonormal(report, NotOrthogonal))
 
 
+def _require_kind(report: OrthogonalityReport, kind: IsometryKind) -> None:
+    """Raise what _classify raises, or KindMismatch unless the matrix is of kind."""
+    if _classify(report) is not kind:
+        raise KindMismatch(f"determinant {report.determinant!r} does not match kind {kind.value}")
+
+
 def classify(m, tol: float = DEFAULT_TOL) -> IsometryKind:
     """Rotation or rotoreflection, by the determinant of an orthogonal m."""
     m = as_mat3(m)
@@ -228,7 +234,7 @@ def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) ->
 
 
 def _rotation_angle(m: np.ndarray, report: OrthogonalityReport, kind: IsometryKind) -> AngleReport:
-    _require_orthonormal(report, NotOrthogonal)
+    _require_kind(report, kind)
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
     trace = m00 + m11 + m22
     if kind is IsometryKind.ROTATION:
@@ -249,18 +255,17 @@ def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleRepo
     m10 - m01), the same for both kinds, and alpha = atan2(sin_alpha,
     cos_alpha): arccos of the cosine alone loses half the digits near
     0 and pi.
+
+    Raises NotOrthogonal off the gate, KindMismatch for the other kind.
     """
     m = as_mat3(m)
     return _rotation_angle(m, check_orthonormal(m, tol), kind)
 
 
 def _embed_4d(m: np.ndarray, report: OrthogonalityReport, kind: IsometryKind) -> np.ndarray:
-    _require_orthonormal(report, NotOrthogonal)
-    expected = 1.0 if kind is IsometryKind.ROTATION else -1.0
-    if abs(report.determinant - expected) > report.tolerance_used:
-        raise KindMismatch(f"determinant {report.determinant!r} does not match kind {kind.value}")
+    _require_kind(report, kind)
     out = np.zeros((4, 4))
-    out[0, 0] = expected
+    out[0, 0] = 1.0 if kind is IsometryKind.ROTATION else -1.0
     out[1:, 1:] = m
     return out
 

@@ -6,7 +6,8 @@ bridge between A and the pair is its associate matrix: the 4x4 array of
 quarter-sums of signed entries of A, which equals the outer product of
 L's components with R's components whenever A is a genuine rotation (it
 then has rank 1 and unit Frobenius norm). Decomposition is therefore:
-associate matrix -> rank-1 factorization -> sign canonicalization.
+associate matrix -> rank-1 factorization, whose unit, sign-canonical
+factors are (L, R): the pair is unique up to that common sign.
 
 The associate map is linear: on the 16 entries it is 0.25 S for a +-1
 matrix S with S^T S = 4 I. So S/2 is orthogonal and the map halves every
@@ -30,12 +31,11 @@ from .linalg import (
     _require_orthonormal,
     as_mat4,
     as_vec4,
-    canonical_sign,
     check_orthonormal,
     mat_mul,
     rank1_factor,
 )
-from .quaternion import _left_rows, _right_rows, _unit, as_unit
+from .quaternion import _left_rows, _right_rows, _unit
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,8 @@ class QuatPairDecomposition:
 
 def compose_4d(l, r) -> np.ndarray:
     """4D rotation matrix M_L(l) @ M_R(r) for unit quaternions l, r."""
-    # Each factor is normalized twice, by as_unit and then by the unit check
-    # of its multiplication matrix; the second pass can move the last bit,
-    # and tests/data/scalar_parity.json holds the bits it gives.
-    l = _unit(_unit(as_vec4(l).tolist()))
-    r = _unit(_unit(as_vec4(r).tolist()))
+    l = _unit(as_vec4(l).tolist())
+    r = _unit(as_vec4(r).tolist())
     return mat_mul(np.array(_left_rows(l)), np.array(_right_rows(r)))
 
 
@@ -113,15 +110,9 @@ def _decompose(a: np.ndarray, report: OrthogonalityReport) -> QuatPairDecomposit
     u, v, residual = rank1_factor(m, tol)
     if residual > tol:
         raise RankDeficiency(f"rank-1 residual {residual:.3e} > tol {tol:.3e}")
-    left = as_unit(u)
-    right = as_unit(v)
-    # as_unit rescales, so the sign rule is applied again to the unit factors.
-    sign = canonical_sign(left)
-    left = left * sign
-    right = right * sign
-    recon = compose_4d(left, right)
+    recon = compose_4d(u, v)
     err = float(np.sqrt(np.sum((a - recon) ** 2)))
-    return QuatPairDecomposition(left, right, residual, err)
+    return QuatPairDecomposition(u, v, residual, err)
 
 
 def decompose_4d(a, tol: float = DEFAULT_TOL) -> QuatPairDecomposition:

@@ -183,6 +183,14 @@ def test_non_unit_quaternion_is_validation_error(monkeypatch, capsys):
     assert json.loads(err)["error"] == "not_unit"
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "1", "0"])
+def test_tol_outside_the_unit_interval_is_parse_error(tol, monkeypatch, capsys):
+    point_reflection = json.dumps({"matrix": (-np.eye(3)).tolist()})
+    code, out, err = run_cli(["classify", "--tol", tol], point_reflection, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "parse_error", "detail": "--tol must be in (0, 1)"}
+
+
 def test_random_requires_seed(monkeypatch, capsys):
     code, _, err = run_cli(["random", "--dim", "3"], "", monkeypatch, capsys)
     assert code == 2

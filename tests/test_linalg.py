@@ -93,8 +93,10 @@ def test_check_orthonormal_perturbed_identity():
 
 
 def test_check_orthonormal_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        check_orthonormal(np.eye(3), 0.0)
+    # from tol 1 up the windows around det +1 and det -1 overlap
+    for tol in (0.0, float("nan"), float("inf"), 1.0, 2.0):
+        with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
+            check_orthonormal(np.eye(3), tol)
 
 
 def test_det_oracle_against_numpy():

@@ -283,6 +283,20 @@ def test_angle_rejects_non_orthogonal():
         rotation_angle(np.diag([2.0, 1.0, 1.0]), IsometryKind.ROTATION)
 
 
+@pytest.mark.parametrize(
+    "m, other",
+    [
+        (Z_QUARTER, IsometryKind.ROTOREFLECTION),
+        (rotoreflection_matrix([math.cos(0.3), math.sin(0.3), 0.0, 0.0]), IsometryKind.ROTATION),
+    ],
+)
+def test_angle_and_embed_reject_the_other_kind(m, other):
+    with pytest.raises(KindMismatch, match=f"does not match kind {other.value}"):
+        rotation_angle(m, other)
+    with pytest.raises(KindMismatch, match=f"does not match kind {other.value}"):
+        embed_4d(m, other)
+
+
 # --- embedding -------------------------------------------------------------
 
 def test_embed_trivial():

@@ -5,7 +5,8 @@ import pytest
 
 import quatrot.rot4
 from quatrot.errors import NotARotation, RankDeficiency
-from quatrot.quaternion import left_matrix
+from quatrot.linalg import mat_mul, rank1_factor
+from quatrot.quaternion import left_matrix, right_matrix
 from quatrot.rng import Xorshift64Star, random_unit_quaternion
 from quatrot.rot4 import associate_matrix, compose_4d, decompose_4d
 
@@ -36,6 +37,19 @@ def test_compose_top_left_entry():
         a = compose_4d(l, r)
         expected = l[0] * r[0] - l[1] * r[1] - l[2] * r[2] - l[3] * r[3]
         assert a[0, 0] == pytest.approx(expected, abs=1e-15)
+
+
+def _near_unit(g, n):
+    """n quaternions with norms within 9e-7 of 1, inside as_unit's window."""
+    q = g.standard_normal((n, 4))
+    return q / np.linalg.norm(q, axis=1, keepdims=True) * (1.0 + g.uniform(-9e-7, 9e-7, (n, 1)))
+
+
+def test_compose_normalizes_each_factor_once():
+    g = np.random.default_rng(0)
+    for l, r in zip(_near_unit(g, 200), _near_unit(g, 200)):
+        want = mat_mul(left_matrix(l), right_matrix(r))
+        assert compose_4d(l, r).tobytes() == want.tobytes()
 
 
 def test_associate_of_identity():
@@ -105,6 +119,17 @@ def test_decompose_roundtrip_paired_signs():
         # signs must be paired: either both factors match or both are negated
         assert min(direct, flipped) <= 1e-12
         assert dec.reconstruction_error <= 1e-12
+
+
+@pytest.mark.parametrize("noise", [1e-12, 1e-10])
+def test_decompose_returns_the_rank1_factors_as_they_are(noise):
+    # rank1_factor's u and v are unit and sign-canonical already
+    g = np.random.default_rng(8)
+    for l, r in zip(_near_unit(g, 100), _near_unit(g, 100)):
+        a = compose_4d(l, r) + noise * g.uniform(-1.0, 1.0, (4, 4))
+        u, v, _ = rank1_factor(associate_matrix(a))
+        dec = decompose_4d(a)
+        assert (dec.left.tobytes(), dec.right.tobytes()) == (u.tobytes(), v.tobytes())
 
 
 def test_decompose_rejects_det_minus_one():
