@@ -19,9 +19,9 @@ vec(l r^T) @ 4 _ASSOC^T, and decompose takes its reconstruction error
 from the associate matrix (the identity in ``rot4``) instead of
 recomposing. A table multiplies every entry of a row, zeros included, so
 one inf or NaN entry makes every output of its row non-finite: the
-entries of associate and compose that do not sum it become NaN (0 * inf),
-where the earlier per-entry sums left them finite. Other rows are not
-affected.
+entries of associate and compose that do not sum it become NaN (0 * inf).
+Other rows are not affected. The block contract holds for these three
+only on OpenBLAS's AVX-512 kernels (see ``_ASSOC``).
 
 The two 3D kernels evaluate rot3's formulas, not copies of them:
 Euler-Rodrigues evaluates ``rot3._er_entries`` on the block's component
@@ -50,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import rot3
-from .linalg import SIGN_EPS
+from .linalg import SIGN_EPS, _ordered_sum
 from .rot4 import associate_matrix
 
 # Rows per block. One (b, 4, 4) float64 temporary is then 512 KiB, so a
@@ -62,10 +62,10 @@ _BLOCK = 4096
 # rot4.associate_matrix of the k-th unit 4x4 matrix, so
 # vec(associate_matrix(a)) = vec(a) @ _ASSOC. Its entries are 0 and
 # +-1/4 and _ASSOC @ _ASSOC.T = I/4, so compose, the inverse map on
-# vec(l r^T), is the table _COMPOSE = 4 _ASSOC.T. Both are row-major:
-# numpy multiplies a one-row block through gemv, and OpenBLAS's gemv sums
-# in the GEMM's order only over a row-major table; the block contract
-# needs a row alone to give the same bits as in a stack.
+# vec(l r^T), is the table _COMPOSE = 4 _ASSOC.T. Both are row-major: a
+# one-row block goes through gemv, which sums in the GEMM's order only on
+# OpenBLAS's AVX-512 kernels. On Haswell, Zen and Prescott a GEMM row's bits
+# change with the row count (3, 5, 7, 9, 17, 33 rows differ; 1, 2, 4, 8 agree).
 _ASSOC = np.stack([associate_matrix(e.reshape(4, 4)).ravel() for e in np.eye(16)])
 _COMPOSE = np.ascontiguousarray(4.0 * _ASSOC.T)
 
@@ -91,14 +91,6 @@ def _component_major(x: np.ndarray) -> np.ndarray:
     """A (b, ...) block as a contiguous (k, b) array: row i holds flat
     component i of every row of the block."""
     return np.ascontiguousarray(x.reshape(len(x), -1).T)
-
-
-def _ordered_sum(terms) -> np.ndarray:
-    """terms[0] + terms[1] + ... elementwise, added in index order."""
-    total = terms[0] + terms[1]
-    for term in terms[2:]:
-        total += term
-    return total
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -224,7 +216,8 @@ def batch_decompose_4d(a: np.ndarray):
     u and v are (n, 4), the left and right unit quaternions with the sign
     rule applied; rank1_residual is (n,), the Frobenius distance of the
     associate matrix from scale * outer(u, v); recon_error is (n,), the
-    Frobenius distance of the input from compose(u, v).
+    Frobenius distance of the input from compose(u, v). Row i's u, v and
+    rank1_residual are ``linalg.rank1_factor(batch_associate_matrix(a)[i])``.
     """
     n = a.shape[0]
     outputs = (np.empty((n, 4)), np.empty((n, 4)), np.empty(n), np.empty(n))

@@ -88,10 +88,12 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     from 0.0, so that golden tests are reproducible bit-for-bit on one
     platform. Accepts 3x3 or 4x4 pairs.
     """
-    n = _common_dim(a, b)
-    rows = _validated(a, (n, n), "matrix").tolist()
-    cols = _validated(b, (n, n), "matrix").T.tolist()
-    if n == 3:
+    shape = np.shape(a)
+    if shape != np.shape(b) or shape not in ((3, 3), (4, 4)):
+        raise NonFiniteInput(f"matrix product: incompatible shapes {shape}, {np.shape(b)}")
+    rows = _validated(a, shape, "matrix").tolist()
+    cols = _validated(b, shape, "matrix").T.tolist()
+    if shape == (3, 3):
         out = [[0.0 + a0 * b0 + a1 * b1 + a2 * b2 for b0, b1, b2 in cols] for a0, a1, a2 in rows]
     else:
         out = [
@@ -99,14 +101,6 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             for a0, a1, a2, a3 in rows
         ]
     return np.array(out)
-
-
-def _common_dim(a, b) -> int:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.shape not in ((3, 3), (4, 4)):
-        raise NonFiniteInput(f"matrix product: incompatible shapes {a.shape}, {b.shape}")
-    return a.shape[0]
 
 
 def _det3(rows) -> float:
@@ -187,34 +181,47 @@ def canonical_sign(q: np.ndarray) -> float:
     return 1.0
 
 
+def _ordered_sum(terms):
+    """terms[0] + terms[1] + ... in index order: floats, or arrays elementwise."""
+    total = terms[0] + terms[1]
+    for term in terms[2:]:
+        total += term
+    return total
+
+
+def _dot(x, y) -> float:
+    return _ordered_sum([a * b for a, b in zip(x, y)])
+
+
+def _normalized(x) -> list:
+    norm = math.sqrt(_dot(x, x))
+    return [c / norm for c in x]
+
+
 def rank1_factor(m: np.ndarray, tol: float = DEFAULT_TOL):
     """Factor a (near-)rank-1 4x4 matrix as scale * u v^T with unit u, v.
 
-    Seeds u from the column of largest Euclidean norm, projects every
-    column onto it for v, then runs one power-iteration-style refinement
-    pass (v <- m^T u, u <- m v, renormalize) to suppress rounding noise.
-    The scale is the Frobenius norm of m; the returned residual is
-    ||m - scale * u v^T||_F. Sign convention (canonical_sign): the first
-    component of u with magnitude above SIGN_EPS is made positive, v
-    absorbing the flip.
-
-    Returns (u, v, residual). Raises ZeroMatrix when ||m||_F <= tol.
+    u starts as the first column of largest squared norm; then v = m^T u,
+    u = m v and v = m^T u, each normalized, and canonical_sign(u) flips
+    both. scale is ||m||_F; the residual ||m - scale u v^T||_F is formed as
+    ||(m - u v^T) + (1 - scale) u v^T||_F. Sums add in index order on Python
+    floats, so no bit depends on BLAS; ``kernels.batch_decompose_4d`` runs
+    these steps on component rows. Returns (u, v, residual). Raises
+    ValueError unless 0 < tol < 1, and ZeroMatrix when ||m||_F <= tol.
     """
-    m = as_mat4(m)
-    scale = float(np.sqrt(np.sum(m * m)))
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must be in (0, 1)")
+    rows = as_mat4(m).tolist()
+    cols = list(zip(*rows))
+    col_squares = [_dot(col, col) for col in cols]
+    scale = math.sqrt(_ordered_sum(col_squares))
     if scale <= tol:
         raise ZeroMatrix(f"Frobenius norm {scale:.3e} <= tol {tol:.3e}")
-    col_norms = np.sqrt(np.sum(m * m, axis=0))
-    u = m[:, int(np.argmax(col_norms))]
-    u = u / np.sqrt(np.sum(u * u))
-    v = m.T @ u
-    # refinement pass
-    u = m @ (v / np.sqrt(np.sum(v * v)))
-    u = u / np.sqrt(np.sum(u * u))
-    v = m.T @ u
-    v = v / np.sqrt(np.sum(v * v))
+    u = _normalized(cols[max(range(4), key=col_squares.__getitem__)])
+    v = _normalized([_dot(col, u) for col in cols])
+    u = _normalized([_dot(row, v) for row in rows])
+    v = _normalized([_dot(col, u) for col in cols])
     sign = canonical_sign(u)
-    u = u * sign
-    v = v * sign
-    residual = float(np.sqrt(np.sum((m - scale * np.outer(u, v)) ** 2)))
-    return u, v, residual
+    u, v = [c * sign for c in u], [c * sign for c in v]
+    d = [(x - ui * vj) + ui * vj * (1.0 - scale) for row, ui in zip(rows, u) for x, vj in zip(row, v)]
+    return np.array(u), np.array(v), math.sqrt(_dot(d, d))

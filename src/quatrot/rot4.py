@@ -6,8 +6,8 @@ bridge between A and the pair is its associate matrix: the 4x4 array of
 quarter-sums of signed entries of A, which equals the outer product of
 L's components with R's components whenever A is a genuine rotation (it
 then has rank 1 and unit Frobenius norm). Decomposition is therefore:
-associate matrix -> rank-1 factorization, whose unit, sign-canonical
-factors are (L, R): the pair is unique up to that common sign.
+associate matrix -> rank-1 factorization (``linalg.rank1_factor``), whose
+unit, sign-canonical factors are (L, R), unique up to that common sign.
 
 The associate map is linear: on the 16 entries it is 0.25 S for a +-1
 matrix S with S^T S = 4 I. So S/2 is orthogonal and the map halves every

@@ -287,6 +287,7 @@ def calls(inp: dict):
         yield f"tol/{tol}/check_orthonormal", "linalg.check_orthonormal", (m30.copy(),), {"tol": tol}
         yield f"tol/{tol}/classify", "rot3.classify", (m30.copy(),), {"tol": tol}
         yield f"tol/{tol}/decompose_4d", "rot4.decompose_4d", (m40.copy(),), {"tol": tol}
+        yield f"tol/{tol}/rank1_factor", "linalg.rank1_factor", (m40.copy(),), {"tol": tol}
     yield "rank1_factor/zero", "linalg.rank1_factor", (np.zeros((4, 4)),), {}
     yield "random_rotation/dim5", "rng.random_rotation", (1, 5), {}
 

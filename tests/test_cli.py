@@ -206,6 +206,31 @@ def test_same_seed_same_bytes(cli_env):
     assert first.stdout
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_cli_examples():
+    """(command, output) for each ``$ command`` in README's sh blocks whose
+    output lines follow it in full (none elided with ``...``)."""
+    examples = []
+    for block in README.read_text().split("```sh\n")[1:]:
+        for example in block.split("```")[0].split("\n\n"):
+            command, _, output = example.partition("\n")
+            if command.startswith("$ ") and output.strip() and "..." not in output:
+                examples.append((command[2:], output.rstrip("\n") + "\n"))
+    return examples
+
+
+def test_readme_cli_examples_print_what_readme_shows(cli_env):
+    examples = _readme_cli_examples()
+    assert examples
+    env = dict(cli_env, PYTHON=sys.executable)
+    for command, output in examples:
+        script = 'quatrot() { "$PYTHON" -m quatrot "$@"; }\n' + command
+        done = subprocess.run(["sh", "-c", script], capture_output=True, env=env, timeout=60)
+        assert done.stdout == output.encode(), command
+
+
 # --- one orthogonality check per command -----------------------------------
 
 ROT3 = [[0.36, 0.48, -0.8], [-0.8, 0.6, 0.0], [0.48, 0.64, 0.6]]

@@ -192,6 +192,19 @@ def test_batch_decompose_residuals_match_scalar(noise):
         assert abs(recon[i] - dec.reconstruction_error) <= 2e-15, i
 
 
+@pytest.mark.parametrize("noise", [0.0, 1e-12, 1e-8, 1e-3])
+def test_batch_decompose_rank1_step_gives_rank1_factor_bytes(noise):
+    # one rank-1 definition: the kernel runs rank1_factor's steps on
+    # component rows, so each row gives the scalar function's bytes
+    g = np.random.default_rng(913)
+    left, right = (q / np.linalg.norm(q, axis=1, keepdims=True) for q in g.normal(size=(2, 1000, 4)))
+    a = kernels.batch_compose_4d(left, right) + noise * g.uniform(-1.0, 1.0, (1000, 4, 4))
+    u, v, rank1, _ = kernels.batch_decompose_4d(a)
+    for i, m in enumerate(kernels.batch_associate_matrix(a)):
+        got = [np.asarray(x).tobytes() for x in rank1_factor(m)]
+        assert got == [u[i].tobytes(), v[i].tobytes(), rank1[i].tobytes()], i
+
+
 def test_assoc_table_is_half_an_orthogonal_map():
     assert np.array_equal(kernels._ASSOC @ kernels._ASSOC.T, np.eye(16) / 4)
 

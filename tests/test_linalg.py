@@ -99,6 +99,15 @@ def test_check_orthonormal_rejects_bad_tol():
             check_orthonormal(np.eye(3), tol)
 
 
+def test_rank1_factor_rejects_bad_tol():
+    # as check_orthonormal: with a NaN tol no matrix is "zero", so the zero
+    # matrix would give NaN factors, and tol 5 would call 0.25 I zero
+    for m, tol in ((np.zeros((4, 4)), float("nan")), (np.eye(4), float("inf")), (np.eye(4), 1.0),
+                   (0.25 * np.eye(4), 5.0), (np.eye(4), 0.0)):
+        with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
+            rank1_factor(m, tol)
+
+
 def test_det_oracle_against_numpy():
     rng = np.random.RandomState(7)
     for _ in range(20):

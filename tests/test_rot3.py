@@ -15,9 +15,12 @@ from quatrot.errors import (
 )
 from quatrot.linalg import OrthogonalityReport
 from quatrot.quaternion import conjugate
+from quatrot.rot4 import associate_matrix
 from quatrot.rng import Xorshift64Star, random_unit_quaternion
 from quatrot.rot3 import (
+    _PAIRS,
     IsometryKind,
+    _equations,
     _extract,
     classify,
     displaced_angle_cos,
@@ -387,3 +390,20 @@ def test_displaced_angle_matches_explicit_z_isometry():
             expected = float(p @ image / (np.linalg.norm(p) * np.linalg.norm(image)))
             got = displaced_angle_cos(p, alpha, kind)
             assert got == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(IsometryKind))
+def test_ten_equations_are_the_associate_matrix_of_the_embedding(kind):
+    """The paper's a00 = +-1 specialisation: the associate matrix of
+    embed_4d(m) is +-q conj(q)^T, so entry (i, 0) is +-q_i q_0 and entry
+    (i, j), j > 0, is -+q_i q_j. _equations(+-m) reads the same ten products
+    off m directly, so the 3D system is the 4D one specialised, pinned here
+    rather than evaluated through the general formula."""
+    rng = np.random.default_rng(1207)
+    sign = 1.0 if kind is IsometryKind.ROTATION else -1.0
+    for _ in range(3000):
+        q = rng.normal(size=4)
+        m = sign * euler_rodrigues(q / np.linalg.norm(q)) + rng.uniform(-1e-13, 1e-13, (3, 3))
+        assoc = associate_matrix(embed_4d(m, kind))
+        read = [sign * (assoc[i, j] if j == 0 else -assoc[i, j]) for i, j in _PAIRS]
+        np.testing.assert_array_equal(_equations((sign * m).tolist()), read)
