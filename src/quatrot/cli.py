@@ -6,10 +6,16 @@ embed, random, verify. Input comes from --input PATH or stdin, as JSON
 {"left": ..., "right": ...} for compose4) or as plain text (whitespace-
 separated numbers, one matrix row per line). Output is always JSON on
 stdout, with numbers printed to 17 significant digits so values
-round-trip through double precision exactly. A matrix command parses its
-matrix and checks it once (``_checked``), then hands the one report to
-the private cores of rot3 and rot4, which raise what the public
-functions raise. --tol must lie in (0, 1).
+round-trip through double precision exactly.
+
+The CLI imports no numpy. It parses its input into nested lists of
+Python floats, as ``np.array(data, dtype=float64)`` read them (numeric
+strings and booleans are numbers, JSON null is NaN), rejects non-finite
+entries with ``math.isfinite``, and calls the float cores of
+``_floats``, which the public functions of rot3, rot4 and rng wrap, so
+it prints their bits and raises their errors. A matrix command checks
+its matrix once (``_checked``) and hands the one report to the cores.
+--tol must lie in (0, 1).
 
 Exit codes: 0 success, 2 parse/validation error, 3 mathematical
 rejection (input passed parsing but is not the kind of matrix the
@@ -21,15 +27,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-import numpy as np
-
-from . import rot3, rot4
+from . import _floats
+from ._floats import IsometryKind
 from .errors import NonFiniteInput, NotARotation, NotUnit, QuatrotError
-from .linalg import _require_orthonormal, check_orthonormal
-from .rng import random_rotation
-from .rot3 import IsometryKind
 
 _VALIDATION_ERRORS = (NonFiniteInput, NotUnit)
 
@@ -41,16 +44,14 @@ EXIT_MATH = 3
 # --- JSON output with fixed float formatting -------------------------------
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, float):
+        return f"{x:.17g}"
     if isinstance(x, str):
         return json.dumps(x)
-    if isinstance(x, np.ndarray):
-        x = x.tolist()
     if isinstance(x, (list, tuple)):
         return "[" + ",".join(_fmt(v) for v in x) + "]"
     if isinstance(x, dict):
@@ -63,7 +64,7 @@ def dump_json(obj) -> str:
 
 
 def _quat_obj(q) -> dict:
-    return {"w": float(q[0]), "x": float(q[1]), "y": float(q[2]), "z": float(q[3])}
+    return dict(zip("wxyz", q))
 
 
 # --- input parsing ---------------------------------------------------------
@@ -88,37 +89,61 @@ def _parse_numbers_plain(text: str):
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
-def parse_matrix(text: str, fmt: str) -> np.ndarray:
+_MAX_DIMS = 64  # numpy's limit on the dimensions of an array
+
+
+def _array(data, depth: int = 0):
+    """(values, shape) of JSON data read as a float64 array: lists nest,
+    up to _MAX_DIMS deep, and every other value is one float (null is
+    NaN). Raises ValueError for rows of unequal shape or deeper nesting,
+    TypeError or ValueError for a value that is not a number."""
+    if type(data) is not list:
+        return (math.nan if data is None else float(data)), ()
+    if depth == _MAX_DIMS:
+        raise ValueError(f"lists nested more than {_MAX_DIMS} deep")
+    try:
+        return list(map(float, data)), (len(data),)  # a row of numbers
+    except TypeError:
+        pass  # a list, null or another non-number: read each value alone
+    items = [_array(x, depth + 1) for x in data]
+    shapes = {shape for _, shape in items}
+    if len(shapes) > 1:
+        raise ValueError(f"rows of different shapes {sorted(shapes)}")
+    return [values for values, _ in items], (len(data), *shapes.pop())
+
+
+def parse_matrix(text: str, fmt: str) -> list:
+    """The 3x3 or 4x4 matrix in text, as rows of floats."""
     if fmt == "json":
         payload = _load_json(text)
         if not isinstance(payload, dict) or "matrix" not in payload:
             raise ParseError('expected an object with a "matrix" key')
-        rows = payload["matrix"]
+        data = payload["matrix"]
     else:
-        rows = _parse_numbers_plain(text)
+        data = _parse_numbers_plain(text)
     try:
-        m = np.array(rows, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        rows, shape = _array(data)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"matrix is not rectangular numeric data: {exc}") from exc
-    if m.shape not in ((3, 3), (4, 4)):
-        raise ParseError(f"expected a 3x3 or 4x4 matrix, got shape {m.shape}")
-    return m
+    if shape not in ((3, 3), (4, 4)):
+        raise ParseError(f"expected a 3x3 or 4x4 matrix, got shape {shape}")
+    return rows
 
 
-def _quat_from_obj(obj) -> np.ndarray:
+def _quat_from_obj(obj) -> list:
     if not isinstance(obj, dict) or set(obj) != {"w", "x", "y", "z"}:
         raise ParseError('quaternion must be an object with keys "w","x","y","z"')
     try:
-        return np.array([float(obj[k]) for k in ("w", "x", "y", "z")])
-    except (TypeError, ValueError) as exc:
+        return [float(obj[k]) for k in ("w", "x", "y", "z")]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad quaternion component: {exc}") from exc
 
 
-def parse_quaternion(text: str, fmt: str) -> np.ndarray:
+def parse_quaternion(text: str, fmt: str) -> list:
     if fmt == "json":
         payload = _load_json(text)
         if isinstance(payload, dict) and "quaternion" in payload:
@@ -128,7 +153,7 @@ def parse_quaternion(text: str, fmt: str) -> np.ndarray:
     flat = [v for row in rows for v in row]
     if len(flat) != 4:
         raise ParseError(f"expected 4 numbers (w x y z), got {len(flat)}")
-    return np.array(flat)
+    return flat
 
 
 def parse_quaternion_pair(text: str, fmt: str):
@@ -140,29 +165,34 @@ def parse_quaternion_pair(text: str, fmt: str):
     rows = _parse_numbers_plain(text)
     if len(rows) != 2 or any(len(r) != 4 for r in rows):
         raise ParseError("expected two lines of 4 numbers (left, then right)")
-    return np.array(rows[0]), np.array(rows[1])
+    return rows[0], rows[1]
+
+
+def _vec4(q) -> list:
+    """q, after the check that ``linalg.as_vec4`` makes of a quaternion
+    argument of the scalar API."""
+    _floats._require_finite(q, "vec4")
+    return q
 
 
 # --- command handlers ------------------------------------------------------
 
 def _cmd_quat2mat(args, text):
-    q = parse_quaternion(text, args.format)
+    m = _floats._rotation_rows(_vec4(parse_quaternion(text, args.format)))
     if args.kind == "rotoreflection":
-        m = rot3.rotoreflection_matrix(q)
-        kind = "rotoreflection"
-    else:
-        m = rot3.euler_rodrigues(q)
-        kind = "rotation"
-    return {"matrix": m, "kind": kind}
+        return {"matrix": [[-x for x in row] for row in m], "kind": "rotoreflection"}
+    return {"matrix": m, "kind": "rotation"}
 
 
 def _checked(args, text, dim=None):
     """The parsed matrix, of size dim when given, and its one
-    OrthogonalityReport, which the command hands to the private cores."""
-    m = parse_matrix(text, args.format)
-    if dim is not None and m.shape[0] != dim:
-        raise ParseError(f"{args.command} needs a {dim}x{dim} matrix, got {m.shape[0]}x{m.shape[0]}")
-    return m, check_orthonormal(m, args.tol)
+    OrthogonalityReport, which the command hands to the cores."""
+    rows = parse_matrix(text, args.format)
+    n = len(rows)
+    if dim is not None and n != dim:
+        raise ParseError(f"{args.command} needs a {dim}x{dim} matrix, got {n}x{n}")
+    _floats._require_finite([x for row in rows for x in row], f"mat{n}")
+    return rows, _floats._orthogonality(rows, _floats._gram(rows), args.tol)
 
 
 def _cmd_mat2quat(args, text):
@@ -172,56 +202,56 @@ def _cmd_mat2quat(args, text):
     elif args.kind == "rotoreflection":
         kind = IsometryKind.ROTOREFLECTION
     else:
-        kind = rot3._kind(_require_orthonormal(report, NotARotation))
-    result = rot3._extract(m, report, kind)
+        kind = _floats._kind(_floats._require_orthonormal(report, NotARotation))
+    params, branch, residual = _floats._extract(m, report, kind)
     return {
-        "quaternion": _quat_obj(result.params),
-        "residual": result.residual,
-        "branch": result.branch,
+        "quaternion": _quat_obj(params),
+        "residual": residual,
+        "branch": branch,
         "kind": kind.value,
     }
 
 
 def _cmd_decompose4(args, text):
     m, report = _checked(args, text, 4)
-    dec = rot4._decompose(m, report)
+    left, right, rank1_residual, reconstruction_error = _floats._decompose(m, report)
     return {
-        "left": _quat_obj(dec.left),
-        "right": _quat_obj(dec.right),
-        "rank1_residual": dec.rank1_residual,
-        "reconstruction_error": dec.reconstruction_error,
+        "left": _quat_obj(left),
+        "right": _quat_obj(right),
+        "rank1_residual": rank1_residual,
+        "reconstruction_error": reconstruction_error,
     }
 
 
 def _cmd_compose4(args, text):
     left, right = parse_quaternion_pair(text, args.format)
-    return {"matrix": rot4.compose_4d(left, right)}
+    left = _floats._unit(_vec4(left))
+    return {"matrix": _floats._compose(left, _floats._unit(_vec4(right)))}
 
 
 def _cmd_classify(args, text):
     _, report = _checked(args, text, 3)
-    return {"kind": rot3._classify(report).value, "det": report.determinant}
+    return {"kind": _floats._classify(report).value, "det": report.determinant}
 
 
 def _cmd_angle(args, text):
     m, report = _checked(args, text, 3)
-    kind = rot3._classify(report)
-    angle = rot3._rotation_angle(m, report, kind)
-    return {"kind": kind.value, "alpha": angle.alpha, "cos_alpha": angle.cos_alpha}
+    kind = _floats._classify(report)
+    alpha, cos_alpha = _floats._rotation_angle(m, report, kind)
+    return {"kind": kind.value, "alpha": alpha, "cos_alpha": cos_alpha}
 
 
 def _cmd_embed(args, text):
     m, report = _checked(args, text, 3)
-    kind = rot3._classify(report)
-    return {"kind": kind.value, "matrix": rot3._embed_4d(m, report, kind)}
+    kind = _floats._classify(report)
+    return {"kind": kind.value, "matrix": _floats._embed_4d(m, report, kind)}
 
 
 def _cmd_random(args, text):
     if args.seed is None:
         raise ParseError("random requires --seed")
-    m = random_rotation(args.seed, args.dim)
     return {
-        "matrix": m,
+        "matrix": _floats._random_rotation(args.seed, args.dim),
         "meta": {
             "seed": args.seed,
             "dim": args.dim,
@@ -232,33 +262,33 @@ def _cmd_random(args, text):
 
 def _cmd_verify(args, text):
     m, report = _checked(args, text)
-    if m.shape == (3, 3):
-        kind = rot3._classify(report)
-        result = rot3._extract(m, report, kind)
-        angle = rot3._rotation_angle(m, report, kind)
-        ok = report.max_abs_gram_deviation <= args.tol and result.residual <= args.tol
+    if len(m) == 3:
+        kind = _floats._classify(report)
+        _, branch, residual = _floats._extract(m, report, kind)
+        alpha, _ = _floats._rotation_angle(m, report, kind)
+        ok = report.max_abs_gram_deviation <= args.tol and residual <= args.tol
         return {
             "dim": 3,
             "kind": kind.value,
             "orthogonality_deviation": report.max_abs_gram_deviation,
             "det": report.determinant,
-            "extraction_residual": result.residual,
-            "branch": result.branch,
-            "alpha": angle.alpha,
+            "extraction_residual": residual,
+            "branch": branch,
+            "alpha": alpha,
             "ok": ok,
         }
-    dec = rot4._decompose(m, report)
+    _, _, rank1_residual, reconstruction_error = _floats._decompose(m, report)
     ok = (
         report.max_abs_gram_deviation <= args.tol
-        and dec.rank1_residual <= args.tol
-        and dec.reconstruction_error <= args.tol
+        and rank1_residual <= args.tol
+        and reconstruction_error <= args.tol
     )
     return {
         "dim": 4,
         "orthogonality_deviation": report.max_abs_gram_deviation,
         "det": report.determinant,
-        "rank1_residual": dec.rank1_residual,
-        "reconstruction_error": dec.reconstruction_error,
+        "rank1_residual": rank1_residual,
+        "reconstruction_error": reconstruction_error,
         "ok": ok,
     }
 

@@ -13,7 +13,8 @@ class QuatrotError(ValueError):
 
 
 class NonFiniteInput(QuatrotError):
-    """Input contains NaN or Inf; rejected at construction."""
+    """Input contains NaN or Inf, rejected at construction, or is finite
+    but too large to square (``rank1_factor``'s Frobenius norm)."""
 
     code = "non_finite"
 

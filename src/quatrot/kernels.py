@@ -14,7 +14,8 @@ stack or on the inputs' memory order, and the temporaries a call
 allocates are bounded by one block whatever n is.
 
 The three 4D kernels share one table, ``_ASSOC``, derived at import from
-``rot4.associate_matrix``: associate is vec(a) @ _ASSOC, compose is
+the associate entries that ``rot4.associate_matrix`` evaluates
+(``_floats._associate``): associate is vec(a) @ _ASSOC, compose is
 vec(l r^T) @ 4 _ASSOC^T, and decompose takes its reconstruction error
 from the associate matrix (the identity in ``rot4``) instead of
 recomposing. A table multiplies every entry of a row, zeros included, so
@@ -23,10 +24,11 @@ entries of associate and compose that do not sum it become NaN (0 * inf).
 Other rows are not affected. The block contract holds for these three
 only on OpenBLAS's AVX-512 kernels (see ``_ASSOC``).
 
-The two 3D kernels evaluate rot3's formulas, not copies of them:
-Euler-Rodrigues evaluates ``rot3._er_entries`` on the block's component
-rows, and extract builds its product table from ``rot3._equations`` and
-indexes it with rot3's pair and branch tables.
+The two 3D kernels evaluate the scalar API's formulas, not copies of
+them: Euler-Rodrigues evaluates ``_floats._er_entries`` on the block's
+component rows, and extract builds its product table from
+``_floats._equations`` and indexes it with the pair and branch tables
+there.
 
 Component-major blocks: decompose, extract and Euler-Rodrigues transpose
 their block once into a contiguous (k, b) array, row i holding component
@@ -49,31 +51,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import rot3
-from .linalg import SIGN_EPS, _ordered_sum
-from .rot4 import associate_matrix
+from . import _floats
+from ._floats import SIGN_EPS, _ordered_sum
 
 # Rows per block. One (b, 4, 4) float64 temporary is then 512 KiB, so a
 # block's working set stays in a 2 MiB per-core L2 instead of streaming
 # every intermediate of an n-row stack through memory.
 _BLOCK = 4096
 
-# The associate map as one table on row-major vec(a): row k is
-# rot4.associate_matrix of the k-th unit 4x4 matrix, so
+# The associate map as one table on row-major vec(a): row k is the
+# associate matrix of the k-th unit 4x4 matrix, so
 # vec(associate_matrix(a)) = vec(a) @ _ASSOC. Its entries are 0 and
 # +-1/4 and _ASSOC @ _ASSOC.T = I/4, so compose, the inverse map on
 # vec(l r^T), is the table _COMPOSE = 4 _ASSOC.T. Both are row-major: a
 # one-row block goes through gemv, which sums in the GEMM's order only on
 # OpenBLAS's AVX-512 kernels. On Haswell, Zen and Prescott a GEMM row's bits
 # change with the row count (3, 5, 7, 9, 17, 33 rows differ; 1, 2, 4, 8 agree).
-_ASSOC = np.stack([associate_matrix(e.reshape(4, 4)).ravel() for e in np.eye(16)])
+_ASSOC = np.array([_floats._associate(e.reshape(4, 4).tolist()) for e in np.eye(16)]).reshape(16, 16)
 _COMPOSE = np.ascontiguousarray(4.0 * _ASSOC.T)
 
-# Extract's product table keeps the right-hand sides of rot3's ten
+# Extract's product table keeps the right-hand sides of the ten
 # equations, p_ij for (i, j) = _PAIRS[:, e]; row i of the symmetric 4x4
 # table is t[_TABLE_ROWS[i]].
-_PAIRS = np.array(rot3._PAIRS).T
-_TABLE_ROWS = np.array(rot3._ROWS)
+_PAIRS = np.array(_floats._PAIRS).T
+_TABLE_ROWS = np.array(_floats._ROWS)
 _COMPONENTS = np.arange(4)[:, None]
 
 
@@ -126,7 +127,7 @@ def _signs(q: np.ndarray) -> np.ndarray:
 
 
 def _euler_rodrigues(q: np.ndarray, out: np.ndarray) -> None:
-    out.reshape(-1, 9)[:] = np.array(rot3._er_entries(*_component_major(q))).T
+    out.reshape(-1, 9)[:] = np.array(_floats._er_entries(*_component_major(q))).T
 
 
 def batch_euler_rodrigues(q: np.ndarray) -> np.ndarray:
@@ -136,7 +137,7 @@ def batch_euler_rodrigues(q: np.ndarray) -> np.ndarray:
 
 
 def _extract_rotation(m, q_out, branch_out, residual_out) -> None:
-    t = np.array(rot3._equations(_component_major(m).reshape(3, 3, -1)))
+    t = np.array(_floats._equations(_component_major(m).reshape(3, 3, -1)))
 
     # Seed from the largest square; the other components are its row of
     # the table divided by the seed.

@@ -9,33 +9,17 @@ Quaternions are float64 numpy arrays of shape (4,). ``as_unit`` silently
 renormalizes inputs whose norm is within 1e-6 of 1 (accumulated rounding)
 and rejects anything further out (a real error, not noise). Each public
 function validates its argument once and computes on its four Python
-floats; the norm adds the four squares from 0.0 in index order, which is
-how numpy sums fewer than eight terms.
+floats with the cores in ``_floats`` (``_norm``, ``_unit``,
+``_left_rows``, ``_right_rows``); the norm adds the four squares from
+0.0 in index order, which is how numpy sums fewer than eight terms.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import NotUnit
+from ._floats import _left_rows, _norm, _right_rows, _unit
 from .linalg import as_vec4
-
-UNIT_WINDOW = 1e-6
-
-
-def _norm(q) -> float:
-    w, x, y, z = q
-    return math.sqrt(0.0 + w * w + x * x + y * y + z * z)
-
-
-def _unit(q) -> list:
-    """The four floats of q divided by its norm; NotUnit outside the window."""
-    n = _norm(q)
-    if abs(n - 1.0) > UNIT_WINDOW:
-        raise NotUnit(f"quaternion norm {n!r} is not within {UNIT_WINDOW} of 1")
-    return [c / n for c in q]
 
 
 def as_unit(q) -> np.ndarray:
@@ -65,26 +49,6 @@ def conjugate(q) -> np.ndarray:
 
 def norm(q) -> float:
     return _norm(as_vec4(q).tolist())
-
-
-def _left_rows(l) -> list:
-    a, b, c, d = l
-    return [
-        [a, -b, -c, -d],
-        [b, a, -d, c],
-        [c, d, a, -b],
-        [d, -c, b, a],
-    ]
-
-
-def _right_rows(r) -> list:
-    p, q, r_, s = r
-    return [
-        [p, -q, -r_, -s],
-        [q, p, s, -r_],
-        [r_, -s, p, q],
-        [s, r_, -q, p],
-    ]
 
 
 def left_matrix(l) -> np.ndarray:

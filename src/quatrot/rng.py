@@ -11,70 +11,23 @@ Unit quaternions are sampled uniformly on the 3-sphere: four independent
 standard normals, normalized (redrawn in the measure-zero case of a tiny
 norm). A random 3D rotation applies the closed-form matrix to one such
 quaternion; a random 4D rotation composes the left/right multiplication
-matrices of two of them.
+matrices of two of them. The generator and both draws are written once,
+in ``_floats``, on Python floats (``Xorshift64Star`` is ``_floats``' own
+class), so the CLI's ``random`` runs them without numpy; the functions
+here return numpy arrays of their results.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .rot3 import euler_rodrigues
-from .rot4 import compose_4d
-
-_MASK64 = (1 << 64) - 1
-_MULT = 2685821657736338717
-_ZERO_SEED_REPLACEMENT = 0x9E3779B97F4A7C15
-
-
-class Xorshift64Star:
-    """Deterministic 64-bit PRNG; same seed, same stream, everywhere."""
-
-    def __init__(self, seed: int):
-        self._state = (int(seed) & _MASK64) or _ZERO_SEED_REPLACEMENT
-        self._spare_normal = None
-
-    def next_u64(self) -> int:
-        x = self._state
-        x ^= (x >> 12)
-        x ^= (x << 25) & _MASK64
-        x ^= (x >> 27)
-        self._state = x
-        return (x * _MULT) & _MASK64
-
-    def uniform(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; generates pairs, caches one."""
-        if self._spare_normal is not None:
-            value = self._spare_normal
-            self._spare_normal = None
-            return value
-        u1 = self.uniform()
-        while u1 == 0.0:
-            u1 = self.uniform()
-        u2 = self.uniform()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        self._spare_normal = radius * math.sin(2.0 * math.pi * u2)
-        return radius * math.cos(2.0 * math.pi * u2)
+from ._floats import Xorshift64Star, _random_rotation, _random_unit_quaternion
 
 
 def random_unit_quaternion(rng: Xorshift64Star) -> np.ndarray:
-    while True:
-        q = np.array([rng.normal(), rng.normal(), rng.normal(), rng.normal()])
-        n = float(np.sqrt(np.sum(q * q)))
-        if n >= 1e-6:
-            return q / n
+    return np.array(_random_unit_quaternion(rng))
 
 
 def random_rotation(seed: int, dim: int) -> np.ndarray:
     """Seeded random 3x3 (dim=3) or 4x4 (dim=4) rotation matrix."""
-    rng = Xorshift64Star(seed)
-    if dim == 3:
-        return euler_rodrigues(random_unit_quaternion(rng))
-    if dim == 4:
-        return compose_4d(random_unit_quaternion(rng), random_unit_quaternion(rng))
-    raise ValueError("dim must be 3 or 4")
+    return np.array(_random_rotation(seed, dim))

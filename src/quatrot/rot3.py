@@ -8,11 +8,14 @@ from a 3x3 matrix, ten redundant quadratic equations determine the
 parameters up to a global sign, and their mutual consistency doubles as
 a certificate that the input really is a rotation matrix.
 
-The Euler-Rodrigues entries (``_er_entries``) and the ten equations
-(``_equations``, ``_PAIRS``, ``_ROWS``) are written once, here: they take
-Python floats from the scalar API, and ``kernels`` evaluates the same
-functions on the component rows of its blocks, so both paths give the
-same bits.
+The Euler-Rodrigues entries (``_er_entries``), the ten equations
+(``_equations``, ``_PAIRS``, ``_ROWS``) and the extract, angle and embed
+cores built on them are written once, in ``_floats``, on Python floats.
+The functions here validate their matrix, check it once
+(``check_orthonormal``), call those cores and wrap the results in numpy
+arrays; ``kernels`` evaluates the same row formulas on the component rows
+of its blocks, so both paths give the same bits, and the CLI calls the
+cores without numpy. ``IsometryKind`` is ``_floats``' own class.
 
 Kind detection is purely the determinant sign: +1 rotation, -1
 rotoreflection. Angles come from the trace: trace = 2 cos(alpha) + 1 for
@@ -23,38 +26,24 @@ sin(alpha) for both, and atan2 of the two keeps the angle accurate near
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InconsistentSystem,
-    IndeterminateDeterminant,
-    KindMismatch,
-    NotARotation,
-    NotARotoreflection,
-    NotOrthogonal,
-    OriginPoint,
-)
-from .linalg import (
+from . import _floats
+from ._floats import (
+    BRANCHES,
     DEFAULT_TOL,
+    IsometryKind,
     OrthogonalityReport,
-    _require_orthonormal,
-    as_mat3,
-    as_vec4,
-    canonical_sign,
-    check_orthonormal,
+    _classify,
+    _embed_4d,
+    _rotation_angle,
+    _rotation_rows,
 )
-from .quaternion import _unit, as_unit
-
-BRANCHES = ("A", "B", "C", "D")
-
-
-class IsometryKind(enum.Enum):
-    ROTATION = "rotation"
-    ROTOREFLECTION = "rotoreflection"
+from .errors import OriginPoint
+from .linalg import as_mat3, as_vec4, check_orthonormal
 
 
 @dataclass(frozen=True)
@@ -79,22 +68,6 @@ class ExtractionResult:
     residual: float
 
 
-def _er_entries(a, b, c, d) -> tuple:
-    """The nine entries of the Euler-Rodrigues matrix of (a, b, c, d),
-    row-major, on floats or on equal-length arrays (``kernels`` passes the
-    component rows of a block). Each product is formed once: (-2a)d is
-    -((2a)d) and x + (-y) is x - y exactly, so -2ad + 2bc is bc - ad to
-    the bit, signed zeros included."""
-    aa, bb, cc, dd = a * a, b * b, c * c, d * d
-    a2, b2, c2 = 2 * a, 2 * b, 2 * c
-    ab, ac, ad, bc, bd, cd = a2 * b, a2 * c, a2 * d, b2 * c, b2 * d, c2 * d
-    return (
-        aa + bb - cc - dd, bc - ad, ac + bd,
-        ad + bc, aa - bb + cc - dd, cd - ab,
-        bd - ac, ab + cd, aa - bb - cc + dd,
-    )
-
-
 def euler_rodrigues(q) -> np.ndarray:
     """3x3 rotation matrix of the unit quaternion (a, b, c, d):
 
@@ -102,7 +75,7 @@ def euler_rodrigues(q) -> np.ndarray:
          [2ad + 2bc, a^2 - b^2 + c^2 - d^2, 2cd - 2ab],
          [2bd - 2ac, 2ab + 2cd, a^2 - b^2 - c^2 + d^2]]
     """
-    return np.array(_er_entries(*_unit(as_vec4(q).tolist()))).reshape(3, 3)
+    return np.array(_rotation_rows(as_vec4(q).tolist()))
 
 
 def rotoreflection_matrix(q) -> np.ndarray:
@@ -111,98 +84,19 @@ def rotoreflection_matrix(q) -> np.ndarray:
     return -euler_rodrigues(q)
 
 
-# The private cores below take a matrix that passed as_mat3 and the
-# OrthogonalityReport that check_orthonormal made of it, so a caller that
-# needs several answers about one matrix (the CLI) checks it once.
-
-def _kind(report: OrthogonalityReport) -> IsometryKind:
-    tol = report.tolerance_used
-    if abs(report.determinant - 1.0) <= tol:
-        return IsometryKind.ROTATION
-    if abs(report.determinant + 1.0) <= tol:
-        return IsometryKind.ROTOREFLECTION
-    # reached only when a loose tol lets a non-orthogonal matrix through
-    raise IndeterminateDeterminant(f"determinant {report.determinant!r} is far from both +1 and -1")
-
-
-def _classify(report: OrthogonalityReport) -> IsometryKind:
-    return _kind(_require_orthonormal(report, NotOrthogonal))
-
-
-def _require_kind(report: OrthogonalityReport, kind: IsometryKind) -> None:
-    """Raise what _classify raises, or KindMismatch unless the matrix is of kind."""
-    if _classify(report) is not kind:
-        raise KindMismatch(f"determinant {report.determinant!r} does not match kind {kind.value}")
-
-
 def classify(m, tol: float = DEFAULT_TOL) -> IsometryKind:
     """Rotation or rotoreflection, by the determinant of an orthogonal m."""
     m = as_mat3(m)
     return _classify(check_orthonormal(m, tol))
 
 
-# The ten equations q_i q_j = rhs[e] of a rotation matrix, (i, j) =
-# _PAIRS[e]: the four squares, then ab, ac, ad, cd, bd, bc. _ROWS[k][i] is
-# the equation of the product q_k q_i, so a seed q_k gives every other
-# component as rhs[_ROWS[k][i]] / q_k.
-_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (2, 3), (1, 3), (1, 2))
-_ROWS = tuple(tuple(_PAIRS.index((min(k, i), max(k, i))) for i in range(4)) for k in range(4))
-
-
-def _equations(rows) -> tuple:
-    """Right-hand sides of the ten equations, in _PAIRS order, from the
-    rows of a 3x3 matrix: floats, or equal-length arrays (``kernels``
-    passes a component-major block)."""
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
-    return (
-        (1 + m00 + m11 + m22) / 4,
-        (1 + m00 - m11 - m22) / 4,
-        (1 - m00 + m11 - m22) / 4,
-        (1 - m00 - m11 + m22) / 4,
-        (m21 - m12) / 4,
-        (m02 - m20) / 4,
-        (m10 - m01) / 4,
-        (m21 + m12) / 4,
-        (m02 + m20) / 4,
-        (m10 + m01) / 4,
-    )
-
-
-def _ten_equation_residual(rhs: tuple, q) -> float:
-    return max(abs(q[i] * q[j] - r) for (i, j), r in zip(_PAIRS, rhs))
-
-
-# What each kind's extractor raises, and its message for the other kind.
-_EXTRACT_ERRORS = {
-    IsometryKind.ROTATION: (NotARotation, "determinant is -1; use extract_rotoreflection"),
-    IsometryKind.ROTOREFLECTION: (NotARotoreflection, "determinant is +1; use extract_rotation"),
-}
-
-
 def _extract(
     m: np.ndarray, report: OrthogonalityReport, kind: IsometryKind, refine: bool = False
 ) -> ExtractionResult:
-    error, other_kind = _EXTRACT_ERRORS[kind]
-    _require_orthonormal(report, error)
-    if _kind(report) is not kind:
-        raise error(other_kind)
-    tol = report.tolerance_used
-    rhs = _equations((m if kind is IsometryKind.ROTATION else -m).tolist())
-
-    k = max(range(4), key=lambda i: rhs[i])
-    seed = math.sqrt(max(rhs[k], 0.0))
-    q = [rhs[e] / seed for e in _ROWS[k]]
-    q[k] = seed
-
-    residual = _ten_equation_residual(rhs, q)
-    if residual > tol:
-        raise InconsistentSystem(f"ten-equation residual {residual:.3e} > tol {tol:.3e}")
-    sign = canonical_sign(q)
-    params = np.array([c * sign for c in q])
-    if refine:
-        params = as_unit(params)
-        residual = _ten_equation_residual(rhs, params.tolist())
-    return ExtractionResult(params, BRANCHES[k], residual)
+    """Extraction from a matrix that passed as_mat3, given the
+    OrthogonalityReport that check_orthonormal made of it."""
+    params, branch, residual = _floats._extract(m.tolist(), report, kind, refine)
+    return ExtractionResult(np.array(params), branch, residual)
 
 
 def extract_rotation(m, tol: float = DEFAULT_TOL, refine: bool = False) -> ExtractionResult:
@@ -233,19 +127,6 @@ def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) ->
     return _extract(m, check_orthonormal(m, tol), IsometryKind.ROTOREFLECTION, refine)
 
 
-def _rotation_angle(m: np.ndarray, report: OrthogonalityReport, kind: IsometryKind) -> AngleReport:
-    _require_kind(report, kind)
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
-    trace = m00 + m11 + m22
-    if kind is IsometryKind.ROTATION:
-        cos_alpha = (trace - 1.0) / 2.0
-    else:
-        cos_alpha = (trace + 1.0) / 2.0
-    cos_alpha = min(1.0, max(-1.0, cos_alpha))
-    sin_alpha = math.hypot(m21 - m12, m02 - m20, m10 - m01) / 2.0
-    return AngleReport(math.atan2(sin_alpha, cos_alpha), cos_alpha)
-
-
 def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleReport:
     """Angle from the trace and the skew part.
 
@@ -259,15 +140,7 @@ def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleRepo
     Raises NotOrthogonal off the gate, KindMismatch for the other kind.
     """
     m = as_mat3(m)
-    return _rotation_angle(m, check_orthonormal(m, tol), kind)
-
-
-def _embed_4d(m: np.ndarray, report: OrthogonalityReport, kind: IsometryKind) -> np.ndarray:
-    _require_kind(report, kind)
-    out = np.zeros((4, 4))
-    out[0, 0] = 1.0 if kind is IsometryKind.ROTATION else -1.0
-    out[1:, 1:] = m
-    return out
+    return AngleReport(*_rotation_angle(m.tolist(), check_orthonormal(m, tol), kind))
 
 
 def embed_4d(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -275,7 +148,7 @@ def embed_4d(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> np.ndarray:
     (rotoreflection) in the top-left corner, zero borders, m in the
     lower-right block. Both embeddings have det +1."""
     m = as_mat3(m)
-    return _embed_4d(m, check_orthonormal(m, tol), kind)
+    return np.array(_embed_4d(m.tolist(), check_orthonormal(m, tol), kind))
 
 
 def displaced_angle_cos(point, alpha: float, kind: IsometryKind) -> float:

@@ -16,6 +16,13 @@ l r^T, so for any 4x4 A and quaternions l, r
     ||A - compose_4d(l, r)||_F = 2 ||associate_matrix(A) - l r^T||_F,
 which lets ``kernels.batch_decompose_4d`` measure its reconstruction
 error without recomposing.
+
+The associate entries, the compose product and the reconstruction
+error are written once, in ``_floats``, on Python floats; the functions
+here validate, call them and return numpy arrays. ``decompose_4d``
+keeps its calls of the public ``check_orthonormal``, ``rank1_factor``
+and ``compose_4d`` (each calls ``mat_mul`` or the cores), and the CLI
+runs the same cores through ``_floats._decompose`` without numpy.
 """
 
 from __future__ import annotations
@@ -24,18 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotARotation, RankDeficiency
-from .linalg import (
+from ._floats import (
     DEFAULT_TOL,
     OrthogonalityReport,
-    _require_orthonormal,
-    as_mat4,
-    as_vec4,
-    check_orthonormal,
-    mat_mul,
-    rank1_factor,
+    _associate,
+    _frobenius_distance,
+    _left_rows,
+    _require_rank1,
+    _require_rotation4,
+    _right_rows,
+    _unit,
 )
-from .quaternion import _left_rows, _right_rows, _unit
+from .linalg import as_mat4, as_vec4, check_orthonormal, mat_mul, rank1_factor
 
 
 @dataclass(frozen=True)
@@ -67,51 +74,18 @@ def associate_matrix(a) -> np.ndarray:
     Defined for any 4x4 input; the rank-1 and unit-norm properties hold
     exactly when the input is a rotation matrix. Linear in the input.
     """
-    rows = as_mat4(a).tolist()
-    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
-    return 0.25 * np.array(
-        [
-            [
-                a00 + a11 + a22 + a33,
-                a10 - a01 - a32 + a23,
-                a20 + a31 - a02 - a13,
-                a30 - a21 + a12 - a03,
-            ],
-            [
-                a10 - a01 + a32 - a23,
-                -a00 - a11 + a22 + a33,
-                a30 - a21 - a12 + a03,
-                -a20 - a31 - a02 - a13,
-            ],
-            [
-                a20 - a31 - a02 + a13,
-                -a30 - a21 - a12 - a03,
-                -a00 + a11 - a22 + a33,
-                a10 + a01 - a32 - a23,
-            ],
-            [
-                a30 + a21 - a12 - a03,
-                a20 - a31 + a02 - a13,
-                -a10 - a01 - a32 - a23,
-                -a00 + a11 + a22 - a33,
-            ],
-        ]
-    )
+    return np.array(_associate(as_mat4(a).tolist()))
 
 
 def _decompose(a: np.ndarray, report: OrthogonalityReport) -> QuatPairDecomposition:
     """decompose_4d of a matrix that passed as_mat4, given the
-    OrthogonalityReport that check_orthonormal made of it."""
+    OrthogonalityReport that check_orthonormal made of it: the steps of
+    ``_floats._decompose``, through the public functions."""
     tol = report.tolerance_used
-    _require_orthonormal(report, NotARotation)
-    if abs(report.determinant - 1.0) > tol:
-        raise NotARotation(f"determinant {report.determinant!r} is not +1")
-    m = associate_matrix(a)
-    u, v, residual = rank1_factor(m, tol)
-    if residual > tol:
-        raise RankDeficiency(f"rank-1 residual {residual:.3e} > tol {tol:.3e}")
-    recon = compose_4d(u, v)
-    err = float(np.sqrt(np.sum((a - recon) ** 2)))
+    _require_rotation4(report)
+    u, v, residual = rank1_factor(associate_matrix(a), tol)
+    _require_rank1(residual, tol)
+    err = _frobenius_distance(a.tolist(), compose_4d(u, v).tolist())
     return QuatPairDecomposition(u, v, residual, err)
 
 

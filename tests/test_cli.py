@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import math
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quatrot import _floats, linalg
 from quatrot.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -196,6 +198,115 @@ def test_random_requires_seed(monkeypatch, capsys):
     assert code == 2
 
 
+# --- parsing edge cases: matrices are read as np.array(data, float64) reads them
+
+IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        [[True, False, False], [False, True, False], [False, False, True]],
+    ],
+)
+def test_numeric_strings_and_booleans_are_numbers(matrix, monkeypatch, capsys):
+    want = run_cli(["verify"], json.dumps({"matrix": IDENTITY3}), monkeypatch, capsys)
+    assert want[0] == 0
+    assert run_cli(["verify"], json.dumps({"matrix": matrix}), monkeypatch, capsys) == want
+
+
+@pytest.mark.parametrize("entry", ["null", "1e400"])
+def test_null_and_overflowing_entries_are_non_finite(entry, monkeypatch, capsys):
+    text = '{"matrix": [[%s, 0, 0], [0, 1, 0], [0, 0, 1]]}' % entry
+    code, out, err = run_cli(["mat2quat"], text, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "non_finite", "detail": "mat3: entries must be finite"}
+
+
+@pytest.mark.parametrize(
+    "matrix, shape",
+    [("[]", "(0,)"), ("[[[1]]]", "(1, 1, 1)"), ("5", "()"), ("[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]", "(3, 4)")],
+)
+def test_a_matrix_of_another_shape_names_its_shape(matrix, shape, monkeypatch, capsys):
+    code, out, err = run_cli(["verify"], '{"matrix": %s}' % matrix, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "parse_error", "detail": f"expected a 3x3 or 4x4 matrix, got shape {shape}"}
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["mat2quat"], '{"matrix": [[1, 0, 0], [0, 1], [0, 0, 1]]}'),
+        (["mat2quat"], '{"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, [1]]]}'),
+        (["mat2quat"], '{"matrix": [["one", 0, 0], [0, 1, 0], [0, 0, 1]]}'),
+        (["mat2quat"], '{"matrix": [[{}, 0, 0], [0, 1, 0], [0, 0, 1]]}'),
+        (["mat2quat", "--format", "plain"], "1 0 0\n0 1\n0 0 1\n"),
+        (["mat2quat"], '{"matrix": %s1%s}' % ("[" * 100, "]" * 100)),
+    ],
+)
+def test_ragged_or_non_numeric_rows_are_parse_errors(args, text, monkeypatch, capsys):
+    code, out, err = run_cli(args, text, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "parse_error"
+    assert payload["detail"].startswith("matrix is not rectangular numeric data: ")
+
+
+def test_json_nested_too_deep_to_decode_is_a_parse_error(monkeypatch, capsys):
+    code, out, err = run_cli(["mat2quat"], '{"matrix": %s}' % ("[" * 100_000), monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["error"] == "parse_error"
+    assert payload["detail"].startswith("invalid JSON: ")
+
+
+HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "args, text, detail",
+    [
+        (["mat2quat"], '{"matrix": [[%s, 0, 0], [0, 1, 0], [0, 0, 1]]}' % HUGE, "matrix is not rectangular numeric data"),
+        (["quat2mat"], '{"w": %s, "x": 0, "y": 0, "z": 0}' % HUGE, "bad quaternion component"),
+    ],
+)
+def test_an_integer_too_large_for_a_float_is_a_parse_error(args, text, detail, monkeypatch, capsys):
+    code, out, err = run_cli(args, text, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "parse_error", "detail": f"{detail}: int too large to convert to float"}
+
+
+# --- no CLI process imports numpy ---------------------------------------------
+
+NO_NUMPY_CASES = {name: (*case, 0, None) for name, case in GOLDEN_CASES.items()}
+NO_NUMPY_CASES.update(
+    {
+        "parse_error": (["mat2quat"], "this is not json", 2, "parse_error"),
+        "non_finite": (["mat2quat"], '{"matrix": [[null, 0, 0], [0, 1, 0], [0, 0, 1]]}', 2, "non_finite"),
+        "not_a_rotation": (["decompose4"], json.dumps({"matrix": np.diag([-1.0, 1, 1, 1]).tolist()}), 3, "not_a_rotation"),
+    }
+)
+
+
+@pytest.mark.parametrize("name", sorted(NO_NUMPY_CASES))
+def test_no_cli_process_imports_numpy(name, cli_env):
+    args, stdin_text, exit_code, error = NO_NUMPY_CASES[name]
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "quatrot", *args],
+        input=stdin_text, capture_output=True, text=True, env=cli_env, timeout=60,
+    )
+    # -X importtime logs each module the process imports to stderr
+    log = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
+    modules = {line.rsplit("|", 1)[1].strip() for line in log}
+    assert done.returncode == exit_code, done.stderr
+    assert "quatrot.cli" in modules
+    assert not [m for m in modules if m.split(".")[0] == "numpy"]
+    if error is not None:
+        (message,) = [line for line in done.stderr.splitlines() if not line.startswith("import time:")]
+        assert json.loads(message)["error"] == error
+
+
 # --- byte determinism through the real process boundary --------------------
 
 def test_same_seed_same_bytes(cli_env):
@@ -251,20 +362,21 @@ ROT3 = [[0.36, 0.48, -0.8], [-0.8, 0.6, 0.0], [0.48, 0.64, 0.6]]
     ],
 )
 def test_each_matrix_command_checks_orthogonality_once(args, matrix, monkeypatch, capsys):
-    import quatrot
-    from quatrot import linalg
-
-    real = linalg.check_orthonormal
+    # the CLI and check_orthonormal share one gate core; count its calls
+    # wherever a module bound it
+    real = _floats._orthogonality
     calls = []
 
     def counted(*a, **k):
         calls.append(1)
         return real(*a, **k)
 
-    # wherever a module bound the function, as a tracer installed from outside would
-    for module in (getattr(quatrot, name) for name in ("linalg", "quaternion", "rot3", "rot4", "rng", "cli")):
-        if getattr(module, "check_orthonormal", None) is real:
-            monkeypatch.setattr(module, "check_orthonormal", counted)
+    for name in ("_floats", "linalg", "quaternion", "rot3", "rot4", "rng", "cli"):
+        module = importlib.import_module(f"quatrot.{name}")
+        if getattr(module, "_orthogonality", None) is real:
+            monkeypatch.setattr(module, "_orthogonality", counted)
     code, _, err = run_cli(args, json.dumps({"matrix": matrix}), monkeypatch, capsys)
     assert code == 0, err
     assert len(calls) == 1
+    linalg.check_orthonormal(matrix)
+    assert len(calls) == 2

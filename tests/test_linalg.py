@@ -156,6 +156,12 @@ def test_rank1_zero_matrix_rejected():
         rank1_factor(np.zeros((4, 4)), 1e-9)
 
 
+def test_rank1_overflowing_frobenius_norm_rejected():
+    # finite entries whose squares overflow: every column norm is inf
+    with pytest.raises(NonFiniteInput, match="Frobenius norm overflows to inf"):
+        rank1_factor(np.full((4, 4), 1e200), 1e-9)
+
+
 def test_rank1_random_outer_products_roundtrip():
     rng = Xorshift64Star(77)
     for _ in range(100):

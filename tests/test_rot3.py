@@ -17,10 +17,9 @@ from quatrot.linalg import OrthogonalityReport
 from quatrot.quaternion import conjugate
 from quatrot.rot4 import associate_matrix
 from quatrot.rng import Xorshift64Star, random_unit_quaternion
+from quatrot._floats import _PAIRS, _equations
 from quatrot.rot3 import (
-    _PAIRS,
     IsometryKind,
-    _equations,
     _extract,
     classify,
     displaced_angle_cos,
