@@ -4,15 +4,15 @@ Every formula of the paper that the CLI needs is written once, here, on
 floats and nested lists of floats: the orthogonality gate (determinants,
 the row-by-column product, the Gram deviation), the rank-1 step, the
 sign rule, the quaternion norm and multiplication matrices, the
-Euler-Rodrigues entries, the ten equations of the a00 = 1 specialisation
-with the extract, angle and embed cores built on them, the associate
-matrix's signed quarter-sums, the compose product, the reconstruction
-error and the seeded unit-quaternion draw. This module imports no numpy,
-so ``python -m quatrot`` runs on it alone. The public functions of
-``linalg``, ``quaternion``, ``rot3``, ``rot4`` and ``rng`` validate
-their arguments, call these cores on ``ndarray.tolist()`` values and
-return ``np.array`` of the result; ``kernels`` evaluates the row
-formulas (``_er_entries``, ``_equations``, ``_ordered_sum``) on the
+Euler-Rodrigues entries, the a00 = +-1 embedding with the extract,
+angle and embed cores, the associate matrix's signed quarter-sums (which
+3D extraction reads on the embedding), the compose product, the
+reconstruction error and the seeded unit-quaternion draw. This module
+imports no numpy, so ``python -m quatrot`` runs on it alone. The public
+functions of ``linalg``, ``quaternion``, ``rot3``, ``rot4`` and ``rng``
+validate their arguments, call these cores on ``ndarray.tolist()``
+values and return ``np.array`` of the result; ``kernels`` evaluates the
+row formulas (``_er_entries``, ``_products``, ``_ordered_sum``) on the
 component rows of its blocks.
 
 The summation order is fixed, so results are bit-stable and equal to
@@ -241,7 +241,7 @@ def _right_rows(r) -> list:
     ]
 
 
-# --- 3D: Euler-Rodrigues and the ten equations ---------------------------------
+# --- 3D: Euler-Rodrigues and extraction from the embedding ----------------------
 
 def _er_entries(a, b, c, d) -> tuple:
     """The nine entries of the Euler-Rodrigues matrix of (a, b, c, d),
@@ -285,35 +285,30 @@ def _require_kind(report: OrthogonalityReport, kind: IsometryKind) -> None:
         raise KindMismatch(f"determinant {report.determinant!r} does not match kind {kind.value}")
 
 
-# The ten equations q_i q_j = rhs[e] of a rotation matrix, (i, j) =
-# _PAIRS[e]: the four squares, then ab, ac, ad, cd, bd, bc. _ROWS[k][i] is
-# the equation of the product q_k q_i, so a seed q_k gives every other
-# component as rhs[_ROWS[k][i]] / q_k.
-_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (2, 3), (1, 3), (1, 2))
-_ROWS = tuple(tuple(_PAIRS.index((min(k, i), max(k, i))) for i in range(4)) for k in range(4))
+def _embedding(rows, kind: IsometryKind) -> list:
+    """Rows of the 4D rotation embedding the 3x3 isometry with rows
+    ``rows`` (floats or arrays): corner +1 for a rotation, -1 for a
+    rotoreflection, and a zero border of floats."""
+    corner = 1.0 if kind is IsometryKind.ROTATION else -1.0
+    return [[corner, 0.0, 0.0, 0.0]] + [[0.0, *row] for row in rows]
 
 
-def _equations(rows) -> tuple:
-    """Right-hand sides of the ten equations, in _PAIRS order, from the
-    rows of a 3x3 matrix: floats, or equal-length arrays (``kernels``
-    passes a component-major block)."""
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
-    return (
-        (1 + m00 + m11 + m22) / 4,
-        (1 + m00 - m11 - m22) / 4,
-        (1 - m00 + m11 - m22) / 4,
-        (1 - m00 - m11 + m22) / 4,
-        (m21 - m12) / 4,
-        (m02 - m20) / 4,
-        (m10 - m01) / 4,
-        (m21 + m12) / 4,
-        (m02 + m20) / 4,
-        (m10 + m01) / 4,
-    )
+def _products(rows, kind: IsometryKind) -> list:
+    """The table q_i q_j of the parameters of the 3x3 isometry with rows
+    ``rows`` (floats, or the component rows of a ``kernels`` block). The
+    associate matrix of its embedding is +-q conj(q)^T: column 0 holds
+    +-q_i q_0, columns j > 0 hold -+q_i q_j. 0.0 - x and 0.0 + x make a
+    zero product +0.0; a rotation's column 0 never sums to -0.0."""
+    assoc = _associate(_embedding(rows, kind))
+    if kind is IsometryKind.ROTATION:
+        return [[p0, 0.0 - p1, 0.0 - p2, 0.0 - p3] for p0, p1, p2, p3 in assoc]
+    return [[0.0 - p0, 0.0 + p1, 0.0 + p2, 0.0 + p3] for p0, p1, p2, p3 in assoc]
 
 
-def _ten_equation_residual(rhs: tuple, q) -> float:
-    return max(abs(q[i] * q[j] - r) for (i, j), r in zip(_PAIRS, rhs))
+def _residual(table, q) -> float:
+    """The largest |q_i q_j - table[i][j]|: the ten equations, each
+    off-diagonal one met twice."""
+    return max(abs(qi * qj - t) for qi, row in zip(q, table) for qj, t in zip(q, row))
 
 
 # What each kind's extractor raises, and its message for the other kind.
@@ -335,21 +330,21 @@ def _extract(rows, report: OrthogonalityReport, kind: IsometryKind, refine: bool
     if _kind(report) is not kind:
         raise error(other_kind)
     tol = report.tolerance_used
-    rhs = _equations(rows if kind is IsometryKind.ROTATION else [[-x for x in row] for row in rows])
+    table = _products(rows, kind)
 
-    k = max(range(4), key=lambda i: rhs[i])
-    seed = math.sqrt(max(rhs[k], 0.0))
-    q = [rhs[e] / seed for e in _ROWS[k]]
+    k = max(range(4), key=lambda i: table[i][i])
+    seed = math.sqrt(max(table[k][k], 0.0))
+    q = [t / seed for t in table[k]]
     q[k] = seed
 
-    residual = _ten_equation_residual(rhs, q)
+    residual = _residual(table, q)
     if residual > tol:
         raise InconsistentSystem(f"ten-equation residual {residual:.3e} > tol {tol:.3e}")
     sign = canonical_sign(q)
     q = [c * sign for c in q]
     if refine:
         q = _unit(q)
-        residual = _ten_equation_residual(rhs, q)
+        residual = _residual(table, q)
     return q, BRANCHES[k], residual
 
 
@@ -370,8 +365,7 @@ def _rotation_angle(rows, report: OrthogonalityReport, kind: IsometryKind) -> tu
 def _embed_4d(rows, report: OrthogonalityReport, kind: IsometryKind) -> list:
     """``rot3.embed_4d`` on floats: rows of the 4x4 embedding."""
     _require_kind(report, kind)
-    corner = 1.0 if kind is IsometryKind.ROTATION else -1.0
-    return [[corner, 0.0, 0.0, 0.0]] + [[0.0, *row] for row in rows]
+    return _embedding(rows, kind)
 
 
 # --- 4D: associate matrix, compose and decompose --------------------------------

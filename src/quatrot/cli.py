@@ -17,10 +17,11 @@ it prints their bits and raises their errors. A matrix command checks
 its matrix once (``_checked``) and hands the one report to the cores.
 --tol must lie in (0, 1).
 
-Exit codes: 0 success, 2 parse/validation error, 3 mathematical
-rejection (input passed parsing but is not the kind of matrix the
-command requires). Errors are reported as a single-line JSON object
-{"error": code, "detail": text} on stderr.
+Exit codes: 0 success, 2 parse/validation error (a bad flag or command
+included), 3 mathematical rejection (input passed parsing but is not the
+kind of matrix the command requires). Errors are reported as a
+single-line JSON object {"error": code, "detail": text} on stderr;
+``--help`` alone prints argparse's help and exits 0.
 """
 
 from __future__ import annotations
@@ -309,14 +310,24 @@ _NEEDS_INPUT = {c for c in _HANDLERS if c != "random"}
 
 
 def _seed_type(value: str) -> int:
-    seed = int(value)
+    try:
+        seed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {value!r}") from None
     if not 0 <= seed < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
     return seed
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ParseError where argparse would print its usage and exit 2."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="quatrot",
         description="Quaternion decomposition of 3D/4D rotation matrices.",
     )
@@ -341,7 +352,10 @@ def _fail(code: str, detail: str, exit_code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ParseError as exc:
+        return _fail("parse_error", str(exc), EXIT_PARSE)
     if not 0.0 < args.tol < 1.0:
         return _fail("parse_error", "--tol must be in (0, 1)", EXIT_PARSE)
     text = ""

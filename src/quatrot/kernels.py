@@ -26,9 +26,9 @@ only on OpenBLAS's AVX-512 kernels (see ``_ASSOC``).
 
 The two 3D kernels evaluate the scalar API's formulas, not copies of
 them: Euler-Rodrigues evaluates ``_floats._er_entries`` on the block's
-component rows, and extract builds its product table from
-``_floats._equations`` and indexes it with the pair and branch tables
-there.
+component rows, and extract reads its table of products q_i q_j with
+``_floats._products``, the associate formula on the a00 = +1 embedding
+of those rows (the border is Python floats, so no border rows are built).
 
 Component-major blocks: decompose, extract and Euler-Rodrigues transpose
 their block once into a contiguous (k, b) array, row i holding component
@@ -52,7 +52,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _floats
-from ._floats import SIGN_EPS, _ordered_sum
+from ._floats import SIGN_EPS, IsometryKind, _ordered_sum
 
 # Rows per block. One (b, 4, 4) float64 temporary is then 512 KiB, so a
 # block's working set stays in a 2 MiB per-core L2 instead of streaming
@@ -70,11 +70,6 @@ _BLOCK = 4096
 _ASSOC = np.array([_floats._associate(e.reshape(4, 4).tolist()) for e in np.eye(16)]).reshape(16, 16)
 _COMPOSE = np.ascontiguousarray(4.0 * _ASSOC.T)
 
-# Extract's product table keeps the right-hand sides of the ten
-# equations, p_ij for (i, j) = _PAIRS[:, e]; row i of the symmetric 4x4
-# table is t[_TABLE_ROWS[i]].
-_PAIRS = np.array(_floats._PAIRS).T
-_TABLE_ROWS = np.array(_floats._ROWS)
 _COMPONENTS = np.arange(4)[:, None]
 
 
@@ -137,16 +132,21 @@ def batch_euler_rodrigues(q: np.ndarray) -> np.ndarray:
 
 
 def _extract_rotation(m, q_out, branch_out, residual_out) -> None:
-    t = np.array(_floats._equations(_component_major(m).reshape(3, 3, -1)))
+    rows = _component_major(m).reshape(3, 3, -1)
+    t = np.array(_floats._products(rows, IsometryKind.ROTATION))  # t[i, j] is q_i q_j
 
     # Seed from the largest square; the other components are its row of
     # the table divided by the seed.
-    branch, square, row = _first_max(t[:4], t[_TABLE_ROWS])
+    branch, square, row = _first_max(t.diagonal().T, t)
     seed = np.sqrt(np.maximum(square, 0.0))
     q = row / seed
     np.copyto(q, seed, where=_COMPONENTS == branch)
 
-    residual_out[:] = np.abs(q[_PAIRS[0]] * q[_PAIRS[1]] - t).max(axis=0)
+    # |q_i q_j - t[i, j]| in one (4, 4, b) temporary: each fresh one of
+    # that size costs page faults, and reducing over two axes is slow
+    d = q[:, None] * q
+    d -= t
+    residual_out[:] = np.abs(d, out=d).reshape(16, -1).max(axis=0)
     q *= _signs(q)
     q_out[:] = q.T
     branch_out[:] = branch

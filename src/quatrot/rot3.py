@@ -3,19 +3,21 @@
 A unit quaternion (a, b, c, d) maps to a 3x3 rotation matrix through the
 classical closed form; negating that matrix entrywise gives the matching
 orientation-reversing isometry (rotoreflection: rotation in an invariant
-plane composed with reflection in it). Extraction goes the other way:
-from a 3x3 matrix, ten redundant quadratic equations determine the
-parameters up to a global sign, and their mutual consistency doubles as
-a certificate that the input really is a rotation matrix.
+plane composed with reflection in it). Extraction goes the other way, by
+the paper's route: the associate matrix of the 4D embedding with corner
+a00 = +1 (rotation) or -1 (rotoreflection) is +-q conj(q)^T, ten
+redundant quadratic equations that determine the parameters up to a
+global sign, and their mutual consistency doubles as a certificate that
+the input really is a rotation matrix.
 
-The Euler-Rodrigues entries (``_er_entries``), the ten equations
-(``_equations``, ``_PAIRS``, ``_ROWS``) and the extract, angle and embed
-cores built on them are written once, in ``_floats``, on Python floats.
-The functions here validate their matrix, check it once
-(``check_orthonormal``), call those cores and wrap the results in numpy
-arrays; ``kernels`` evaluates the same row formulas on the component rows
-of its blocks, so both paths give the same bits, and the CLI calls the
-cores without numpy. ``IsometryKind`` is ``_floats``' own class.
+The Euler-Rodrigues entries (``_er_entries``), the product table
+(``_products``) and the extract, angle and embed cores are written once,
+in ``_floats``, on Python floats. The functions here validate their
+matrix, check it once (``check_orthonormal``), call those cores and wrap
+the results in numpy arrays; ``kernels`` evaluates the same row formulas
+on the component rows of its blocks, so both paths give the same bits,
+and the CLI calls the cores without numpy. ``IsometryKind`` is
+``_floats``' own class.
 
 Kind detection is purely the determinant sign: +1 rotation, -1
 rotoreflection. Angles come from the trace: trace = 2 cos(alpha) + 1 for
@@ -39,10 +41,11 @@ from ._floats import (
     OrthogonalityReport,
     _classify,
     _embed_4d,
+    _require_finite,
     _rotation_angle,
     _rotation_rows,
 )
-from .errors import OriginPoint
+from .errors import NonFiniteInput, OriginPoint
 from .linalg import as_mat3, as_vec4, check_orthonormal
 
 
@@ -119,9 +122,9 @@ def extract_rotation(m, tol: float = DEFAULT_TOL, refine: bool = False) -> Extra
 def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) -> ExtractionResult:
     """Recover the parameters of a 3x3 rotoreflection matrix.
 
-    Works on -m: the rotoreflection matrix is the entrywise negation of
-    the rotation matrix with the same parameters, and negating a 3x3
-    det -1 matrix yields det +1, so the rotation extractor applies as-is.
+    The same solve as ``extract_rotation``, on the associate matrix of the
+    embedding with corner a00 = -1, which is -q conj(q)^T: the parameters
+    are those of the rotation -m, without negating m.
     """
     m = as_mat3(m)
     return _extract(m, check_orthonormal(m, tol), IsometryKind.ROTOREFLECTION, refine)
@@ -158,12 +161,23 @@ def displaced_angle_cos(point, alpha: float, kind: IsometryKind) -> float:
     Closed forms with rho^2 = x^2 + y^2:
       rotation:       (rho^2 cos(alpha) + z^2) / (rho^2 + z^2)
       rotoreflection: (rho^2 cos(alpha) - z^2) / (rho^2 + z^2)
+
+    The point is first scaled by a power of two (exactly) so that its
+    largest |component| lies in [0.5, 1): the squares cannot overflow or
+    all underflow, so only the origin raises OriginPoint. Raises
+    NonFiniteInput for a NaN or inf component or alpha.
     """
     x, y, z = (float(v) for v in point)
+    _require_finite((x, y, z), "point")
+    if not math.isfinite(alpha):
+        raise NonFiniteInput(f"alpha must be finite, got {alpha!r}")
+    largest = max(abs(x), abs(y), abs(z))
+    if largest == 0.0:
+        raise OriginPoint("displaced angle is undefined at the origin")
+    exponent = math.frexp(largest)[1]
+    x, y, z = (math.ldexp(v, -exponent) for v in (x, y, z))
     rho2 = x * x + y * y
     z2 = z * z
-    if rho2 + z2 == 0.0:
-        raise OriginPoint("displaced angle is undefined at the origin")
     if kind is IsometryKind.ROTATION:
         return (rho2 * math.cos(alpha) + z2) / (rho2 + z2)
     return (rho2 * math.cos(alpha) - z2) / (rho2 + z2)

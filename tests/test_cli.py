@@ -198,6 +198,35 @@ def test_random_requires_seed(monkeypatch, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args, detail",
+    [
+        (["random", "--seed", "abc"], "argument --seed: seed must be an integer, got 'abc'"),
+        (["random", "--seed", "7", "--dim", "5"], "argument --dim: invalid choice: 5"),
+        (["random", "--seed", "7", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+        (["rotate"], "argument command: invalid choice: 'rotate'"),
+        (["random", "--seed", "7", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_bad_flags_and_commands_are_one_line_parse_errors(args, detail, monkeypatch, capsys):
+    """argparse's errors follow the CLI's error contract: main returns 2
+    and writes one JSON line to stderr, with no usage text."""
+    code, out, err = run_cli(args, "", monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "parse_error"
+    assert payload["detail"].startswith(detail)
+
+
+def test_help_still_prints_usage_and_exits_zero(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["--help"], "", monkeypatch, capsys)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: quatrot")
+
+
 # --- parsing edge cases: matrices are read as np.array(data, float64) reads them
 
 IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

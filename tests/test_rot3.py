@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 from quatrot.errors import (
     InconsistentSystem,
     KindMismatch,
+    NonFiniteInput,
     NotARotation,
     NotARotoreflection,
     NotOrthogonal,
     OriginPoint,
 )
+from quatrot.kernels import batch_extract_rotation
 from quatrot.linalg import OrthogonalityReport
 from quatrot.quaternion import conjugate
 from quatrot.rot4 import associate_matrix
 from quatrot.rng import Xorshift64Star, random_unit_quaternion
-from quatrot._floats import _PAIRS, _equations
+from quatrot._floats import _products
 from quatrot.rot3 import (
     IsometryKind,
     _extract,
@@ -357,6 +359,34 @@ def test_displaced_angle_origin_rejected():
         displaced_angle_cos((0, 0, 0), 1.0, IsometryKind.ROTATION)
 
 
+@pytest.mark.parametrize(
+    "point, alpha",
+    [
+        ((math.nan, 0.0, 0.0), 1.0),
+        ((0.0, math.inf, 0.0), 1.0),
+        ((0.0, 0.0, -math.inf), 1.0),
+        ((1.0, 0.0, 0.0), math.nan),
+        ((1.0, 0.0, 0.0), math.inf),
+    ],
+)
+def test_displaced_angle_rejects_non_finite_input(point, alpha):
+    for kind in IsometryKind:
+        with pytest.raises(NonFiniteInput):
+            displaced_angle_cos(point, alpha, kind)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 2.0**-1040, 1e200, 1e307])
+def test_displaced_angle_is_scale_free(scale):
+    """Only the origin is rejected, and a point far from 1 in size gives
+    the cosine its direction gives: the squares neither underflow to an
+    origin nor overflow to inf / inf."""
+    for kind in IsometryKind:
+        for point in ((1.0, 0.0, 0.0), (2.0, -1.0, 0.5), (0.0, 0.0, 3.0)):
+            got = displaced_angle_cos(tuple(scale * v for v in point), 1.234, kind)
+            want = displaced_angle_cos(point, 1.234, kind)
+            assert got == pytest.approx(want, abs=1e-15), (point, kind)
+
+
 def test_displaced_angle_inequalities():
     rng = Xorshift64Star(43)
     for _ in range(500):
@@ -392,17 +422,53 @@ def test_displaced_angle_matches_explicit_z_isometry():
 
 
 @pytest.mark.parametrize("kind", list(IsometryKind))
-def test_ten_equations_are_the_associate_matrix_of_the_embedding(kind):
+def test_extraction_table_is_the_embeddings_associate(kind):
     """The paper's a00 = +-1 specialisation: the associate matrix of
     embed_4d(m) is +-q conj(q)^T, so entry (i, 0) is +-q_i q_0 and entry
-    (i, j), j > 0, is -+q_i q_j. _equations(+-m) reads the same ten products
-    off m directly, so the 3D system is the 4D one specialised, pinned here
-    rather than evaluated through the general formula."""
+    (i, j), j > 0, is -+q_i q_j. The table of products q_i q_j that
+    extraction seeds from is the public associate matrix read that way,
+    bit for bit, and symmetric."""
     rng = np.random.default_rng(1207)
     sign = 1.0 if kind is IsometryKind.ROTATION else -1.0
     for _ in range(3000):
         q = rng.normal(size=4)
         m = sign * euler_rodrigues(q / np.linalg.norm(q)) + rng.uniform(-1e-13, 1e-13, (3, 3))
         assoc = associate_matrix(embed_4d(m, kind))
-        read = [sign * (assoc[i, j] if j == 0 else -assoc[i, j]) for i, j in _PAIRS]
-        np.testing.assert_array_equal(_equations((sign * m).tolist()), read)
+        table = np.array(_products(m.tolist(), kind))
+        np.testing.assert_array_equal(table, sign * assoc * [1.0, -1.0, -1.0, -1.0])
+        np.testing.assert_array_equal(table, table.T)
+
+
+def _quarter_turn(axis, s):
+    """The exact turn by s * 90 degrees about coordinate axis ``axis``."""
+    i, j = [k for k in range(3) if k != axis]
+    m = np.eye(3)
+    m[i, i] = m[j, j] = 0.0
+    m[j, i], m[i, j] = s, -s
+    return m
+
+
+_EXACT_TURNS = [
+    np.eye(3),
+    np.diag([1.0, -1.0, -1.0]),
+    np.diag([-1.0, 1.0, -1.0]),
+    np.diag([-1.0, -1.0, 1.0]),
+    *(_quarter_turn(axis, s) for axis in range(3) for s in (1.0, -1.0)),
+]
+
+
+@pytest.mark.parametrize("m", _EXACT_TURNS, ids=lambda m: str(m.tolist()))
+def test_exact_turns_give_positive_zeros_and_the_batch_bytes(m):
+    """The identity, the axis half and quarter turns and their negations
+    (rotoreflections), each with +0.0 and with -0.0 for its zero entries:
+    each parameter that is zero is +0.0, and rotation, rotoreflection and
+    batch give one set of bytes."""
+    batch = batch_extract_rotation(m[None])[0][0]
+    rotations = (m, -(0.0 - m))  # zeros +0.0, then -0.0
+    rotoreflections = (0.0 - m, -m)
+    got = [extract_rotation(r).params for r in rotations]
+    got += [extract_rotoreflection(r).params for r in rotoreflections]
+    got.append(batch_extract_rotation(rotations[1][None])[0][0])
+    for params in got:
+        assert params.tobytes() == batch.tobytes()
+        assert all(math.copysign(1.0, x) == 1.0 for x in params if x == 0.0), params
