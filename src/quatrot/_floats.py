@@ -8,12 +8,14 @@ Euler-Rodrigues entries, the a00 = +-1 embedding with the extract,
 angle and embed cores, the associate matrix's signed quarter-sums (which
 3D extraction reads on the embedding), the compose product, the
 reconstruction error and the seeded unit-quaternion draw. This module
-imports no numpy, so ``python -m quatrot`` runs on it alone. The public
-functions of ``linalg``, ``quaternion``, ``rot3``, ``rot4`` and ``rng``
-validate their arguments, call these cores on ``ndarray.tolist()``
-values and return ``np.array`` of the result; ``kernels`` evaluates the
-row formulas (``_er_entries``, ``_products``, ``_ordered_sum``) on the
-component rows of its blocks.
+imports only math, quatrot's errors, and enum and collections (whose
+``namedtuple`` makes ``OrthogonalityReport``), which the CLI's json
+loads anyway: no numpy and no dataclasses, so ``python -m quatrot``
+runs on it alone. The public functions of ``linalg``, ``quaternion``,
+``rot3``, ``rot4`` and ``rng`` validate their arguments, call these
+cores on ``ndarray.tolist()`` values and return ``np.array`` of the
+result; ``kernels`` evaluates the row formulas (``_er_entries``,
+``_products``, ``_ordered_sum``) on the component rows of its blocks.
 
 The summation order is fixed, so results are bit-stable and equal to
 the numpy code these cores replaced: determinants are cofactor
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     InconsistentSystem,
@@ -69,17 +71,16 @@ class IsometryKind(enum.Enum):
     ROTOREFLECTION = "rotoreflection"
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(
+    namedtuple("OrthogonalityReport", "max_abs_gram_deviation determinant tolerance_used")
+):
     """Result of an orthonormality check.
 
     max_abs_gram_deviation is the largest |(A^T A - I)[i][j]|; callers
     compare it against their own tolerance to accept or reject.
     """
 
-    max_abs_gram_deviation: float
-    determinant: float
-    tolerance_used: float
+    __slots__ = ()
 
     @property
     def is_orthonormal(self) -> bool:
@@ -277,6 +278,14 @@ def _kind(report: OrthogonalityReport) -> IsometryKind:
 
 def _classify(report: OrthogonalityReport) -> IsometryKind:
     return _kind(_require_orthonormal(report, NotOrthogonal))
+
+
+def _as_kind(kind) -> IsometryKind:
+    """IsometryKind(kind): a member or its value; KindMismatch for anything else."""
+    try:
+        return IsometryKind(kind)
+    except ValueError:
+        raise KindMismatch(f"kind must be 'rotation' or 'rotoreflection', got {kind!r}") from None
 
 
 def _require_kind(report: OrthogonalityReport, kind: IsometryKind) -> None:

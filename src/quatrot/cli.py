@@ -8,7 +8,9 @@ separated numbers, one matrix row per line). Output is always JSON on
 stdout, with numbers printed to 17 significant digits so values
 round-trip through double precision exactly.
 
-The CLI imports no numpy. It parses its input into nested lists of
+The CLI process imports json, math, sys and quatrot's ``_floats`` and
+``errors`` (re and types, which it also uses, come with json): no
+numpy, argparse or dataclasses. It parses its input into nested lists of
 Python floats, as ``np.array(data, dtype=float64)`` read them (numeric
 strings and booleans are numbers, JSON null is NaN), rejects non-finite
 entries with ``math.isfinite``, and calls the float cores of
@@ -17,19 +19,29 @@ it prints their bits and raises their errors. A matrix command checks
 its matrix once (``_checked``) and hands the one report to the cores.
 --tol must lie in (0, 1).
 
+The command line has a fixed grammar: one command and the six
+``--option VALUE`` flags of ``_OPTIONS``. ``parse_args`` reads it from
+that table as the argparse parser it replaced read it on Python 3.10 and
+3.11: options before or after the command, ``--opt=value``, unique
+prefixes (``--se 7``), the last value wins, a negative number is a
+value, and every error detail is argparse's text. ``-h``/``--help``
+prints argparse's help as it was formatted for 80 columns; being static
+text, it does not rewrap to the terminal's width.
+
 Exit codes: 0 success, 2 parse/validation error (a bad flag or command
 included), 3 mathematical rejection (input passed parsing but is not the
 kind of matrix the command requires). Errors are reported as a
 single-line JSON object {"error": code, "detail": text} on stderr;
-``--help`` alone prints argparse's help and exits 0.
+``--help`` prints the help and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import re
 import sys
+from types import SimpleNamespace
 
 from . import _floats
 from ._floats import IsometryKind
@@ -309,41 +321,149 @@ _HANDLERS = {
 _NEEDS_INPUT = {c for c in _HANDLERS if c != "random"}
 
 
-def _seed_type(value: str) -> int:
+# --- the command line ----------------------------------------------------------
+
+# argparse's help for this grammar, formatted for an 80-column terminal.
+_HELP = """\
+usage: quatrot [-h] [--input INPUT] [--format {json,plain}] [--tol TOL]
+               [--seed SEED] [--dim {3,4}]
+               [--kind {auto,rotation,rotoreflection}]
+               {angle,classify,compose4,decompose4,embed,mat2quat,quat2mat,random,verify}
+
+Quaternion decomposition of 3D/4D rotation matrices.
+
+positional arguments:
+  {angle,classify,compose4,decompose4,embed,mat2quat,quat2mat,random,verify}
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         input file (default: stdin)
+  --format {json,plain}
+  --tol TOL
+  --seed SEED
+  --dim {3,4}
+  --kind {auto,rotation,rotoreflection}
+                        isometry kind for quat2mat/mat2quat (default: auto;
+                        quat2mat treats auto as rotation)
+"""
+
+
+def _seed(value: str) -> int:
     try:
         seed = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {value!r}") from None
+        raise ParseError(f"seed must be an integer, got {value!r}") from None
     if not 0 <= seed < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
+        raise ParseError("seed must fit in 64 unsigned bits")
     return seed
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Raises ParseError where argparse would print its usage and exit 2."""
+# Each option that takes a value: (type, choices or None, default).
+_OPTIONS = {
+    "--input": (str, None, None),
+    "--format": (str, ("json", "plain"), "json"),
+    "--tol": (float, None, 1e-9),
+    "--seed": (_seed, None, None),
+    "--dim": (int, (3, 4), 3),
+    "--kind": (str, ("auto", "rotation", "rotoreflection"), "auto"),
+}
+# Every flag, in the order argparse lists them when a prefix is ambiguous.
+_FLAGS = ("-h", "--help", *_OPTIONS)
+_COMMANDS = sorted(_HANDLERS)
 
-    def error(self, message):
-        raise ParseError(message)
+
+def _value(name: str, text: str, convert, choices):
+    """text read by convert and checked against choices, or argparse's message."""
+    try:
+        value = convert(text)
+    except ParseError as exc:  # _seed's own message
+        raise ParseError(f"argument {name}: {exc}") from None
+    except ValueError:
+        raise ParseError(f"argument {name}: invalid {convert.__name__} value: {text!r}") from None
+    if choices is not None and value not in choices:
+        choose = ", ".join(map(repr, choices))
+        raise ParseError(f"argument {name}: invalid choice: {value!r} (choose from {choose})")
+    return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="quatrot",
-        description="Quaternion decomposition of 3D/4D rotation matrices.",
-    )
-    parser.add_argument("command", choices=sorted(_HANDLERS))
-    parser.add_argument("--input", default=None, help="input file (default: stdin)")
-    parser.add_argument("--format", choices=("json", "plain"), default="json")
-    parser.add_argument("--tol", type=float, default=1e-9)
-    parser.add_argument("--seed", type=_seed_type, default=None)
-    parser.add_argument("--dim", type=int, choices=(3, 4), default=3)
-    parser.add_argument(
-        "--kind",
-        choices=("auto", "rotation", "rotoreflection"),
-        default="auto",
-        help="isometry kind for quat2mat/mat2quat (default: auto; quat2mat treats auto as rotation)",
-    )
-    return parser
+def _flag(arg: str):
+    """What argparse makes of arg, ahead of any "--": None for a positional
+    argument, else (flag, value given with it or None), flag None for an
+    unknown option."""
+    if arg[:1] != "-":
+        return None
+    if arg in _FLAGS:
+        return arg, None
+    if len(arg) == 1:  # "-" alone
+        return None
+    prefix, eq, value = arg.partition("=")
+    if eq and prefix in _FLAGS:
+        return prefix, value
+    if arg[1] == "-":  # a unique prefix of a long flag, as in --se 7 or --se=7
+        matches = [flag for flag in _FLAGS if flag.startswith(prefix)]
+        if len(matches) > 1:
+            raise ParseError(f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif arg[:2] == "-h":  # -h with the rest of arg as its value
+        return "-h", arg[2:]
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None  # a negative number, or text with a space: a positional
+    return None, None
+
+
+def _help(flag: str, value) -> None:
+    """Print the help and exit 0, unless the flag came with a value it
+    cannot take: -h takes further h's (-hh), nothing else does."""
+    if value is not None:
+        rest = value.lstrip("h") if flag == "-h" else value
+        if rest or not value:
+            raise ParseError(f"argument -h/--help: ignored explicit argument {rest!r}")
+    sys.stdout.write(_HELP)
+    raise SystemExit(0)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command and option values in argv, read as argparse reads them:
+    options before or after the command, unique prefixes, --opt=value, the
+    last value of an option wins, a negative number is a value and every
+    argument after the first "--" is positional. Raises ParseError with
+    argparse's message; -h or --help prints the help and exits 0."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    flags = {i: flag for i, arg in enumerate(argv[:end]) if (flag := _flag(arg)) is not None}
+    values = {"command": None}
+    values.update((flag[2:], default) for flag, (_, _, default) in _OPTIONS.items())
+    extras = []
+    i = 0
+    while i < len(argv):
+        if i in flags:
+            flag, value = flags[i]
+            i += 1
+            if flag is None:
+                extras.append(argv[i - 1])
+            elif flag in ("-h", "--help"):
+                _help(flag, value)
+            else:
+                if value is None:
+                    if i in flags or i in (end, len(argv)):
+                        raise ParseError(f"argument {flag}: expected one argument")
+                    value, i = argv[i], i + 1
+                convert, choices, _ = _OPTIONS[flag]
+                values[flag[2:]] = _value(flag, value, convert, choices)
+        elif values["command"] is None and (i != end or i + 1 < len(argv)):
+            # the command, with a "--" just before or just after it
+            if i == end:
+                i += 1
+            values["command"] = _value("command", argv[i], str, _COMMANDS)
+            i += 2 if i + 1 == end else 1
+        else:
+            extras.append(argv[i])
+            i += 1
+    if values["command"] is None:
+        raise ParseError("the following arguments are required: command")
+    if extras:
+        raise ParseError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
 
 
 def _fail(code: str, detail: str, exit_code: int) -> int:
@@ -353,7 +473,7 @@ def _fail(code: str, detail: str, exit_code: int) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except ParseError as exc:
         return _fail("parse_error", str(exc), EXIT_PARSE)
     if not 0.0 < args.tol < 1.0:

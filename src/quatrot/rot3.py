@@ -29,7 +29,7 @@ sin(alpha) for both, and atan2 of the two keeps the angle accurate near
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from ._floats import (
     DEFAULT_TOL,
     IsometryKind,
     OrthogonalityReport,
+    _as_kind,
     _classify,
     _embed_4d,
     _require_finite,
@@ -49,26 +50,21 @@ from .errors import NonFiniteInput, OriginPoint
 from .linalg import as_mat3, as_vec4, check_orthonormal
 
 
-@dataclass(frozen=True)
-class AngleReport:
+class AngleReport(namedtuple("AngleReport", "alpha cos_alpha")):
     """Angle of a rotation/rotoreflection; alpha in [0, pi] radians."""
 
-    alpha: float
-    cos_alpha: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(namedtuple("ExtractionResult", "params branch residual")):
     """Parameters extracted from a 3x3 matrix.
 
-    branch names which squared component seeded the solve ("A" for the
-    scalar part, "B"/"C"/"D" for x/y/z); residual is the max absolute
-    violation over all ten defining equations.
+    params is a numpy array; branch names which squared component seeded
+    the solve ("A" for the scalar part, "B"/"C"/"D" for x/y/z); residual
+    is the max absolute violation over all ten defining equations.
     """
 
-    params: np.ndarray
-    branch: str
-    residual: float
+    __slots__ = ()
 
 
 def euler_rodrigues(q) -> np.ndarray:
@@ -140,17 +136,22 @@ def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleRepo
     cos_alpha): arccos of the cosine alone loses half the digits near
     0 and pi.
 
-    Raises NotOrthogonal off the gate, KindMismatch for the other kind.
+    kind is an IsometryKind or its value. Raises NotOrthogonal off the
+    gate, KindMismatch for the other kind or a kind that is neither.
     """
     m = as_mat3(m)
+    kind = _as_kind(kind)
     return AngleReport(*_rotation_angle(m.tolist(), check_orthonormal(m, tol), kind))
 
 
 def embed_4d(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Embed a 3x3 isometry as a 4D rotation matrix: +1 (rotation) or -1
     (rotoreflection) in the top-left corner, zero borders, m in the
-    lower-right block. Both embeddings have det +1."""
+    lower-right block. Both embeddings have det +1. kind is an
+    IsometryKind or its value; KindMismatch for the other kind or a kind
+    that is neither."""
     m = as_mat3(m)
+    kind = _as_kind(kind)
     return np.array(_embed_4d(m.tolist(), check_orthonormal(m, tol), kind))
 
 
@@ -165,12 +166,14 @@ def displaced_angle_cos(point, alpha: float, kind: IsometryKind) -> float:
     The point is first scaled by a power of two (exactly) so that its
     largest |component| lies in [0.5, 1): the squares cannot overflow or
     all underflow, so only the origin raises OriginPoint. Raises
-    NonFiniteInput for a NaN or inf component or alpha.
+    NonFiniteInput for a NaN or inf component or alpha, KindMismatch for
+    a kind that is neither an IsometryKind nor its value.
     """
     x, y, z = (float(v) for v in point)
     _require_finite((x, y, z), "point")
     if not math.isfinite(alpha):
         raise NonFiniteInput(f"alpha must be finite, got {alpha!r}")
+    kind = _as_kind(kind)
     largest = max(abs(x), abs(y), abs(z))
     if largest == 0.0:
         raise OriginPoint("displaced angle is undefined at the origin")

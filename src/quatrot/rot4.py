@@ -27,7 +27,7 @@ runs the same cores through ``_floats._decompose`` without numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -45,9 +45,10 @@ from ._floats import (
 from .linalg import as_mat4, as_vec4, check_orthonormal, mat_mul, rank1_factor
 
 
-@dataclass(frozen=True)
-class QuatPairDecomposition:
-    """Left/right unit quaternion factors of a 4D rotation.
+class QuatPairDecomposition(
+    namedtuple("QuatPairDecomposition", "left right rank1_residual reconstruction_error")
+):
+    """Left/right unit quaternion factors of a 4D rotation, as numpy arrays.
 
     rank1_residual measures how far the associate matrix is from rank 1;
     reconstruction_error is ||A - M_L(left) M_R(right)||_F. Both are
@@ -55,10 +56,7 @@ class QuatPairDecomposition:
     to noisy inputs.
     """
 
-    left: np.ndarray
-    right: np.ndarray
-    rank1_residual: float
-    reconstruction_error: float
+    __slots__ = ()
 
 
 def compose_4d(l, r) -> np.ndarray:

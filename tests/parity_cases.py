@@ -18,7 +18,6 @@ CHANGES.md) with
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import enum
 import importlib
 import io
@@ -373,8 +372,8 @@ def encode(x):
         return ["e", x.value]
     if isinstance(x, str):
         return ["s", x]
-    if dataclasses.is_dataclass(x):
-        return ["dc", type(x).__name__, {f.name: encode(getattr(x, f.name)) for f in dataclasses.fields(x)}]
+    if isinstance(x, tuple) and hasattr(x, "_fields"):  # a result type: a named tuple
+        return ["dc", type(x).__name__, {name: encode(getattr(x, name)) for name in x._fields}]
     if isinstance(x, tuple):
         return ["t", [encode(v) for v in x]]
     raise TypeError(f"cannot encode {type(x)!r}")

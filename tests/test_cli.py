@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import importlib
 import io
 import json
@@ -8,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quatrot import _floats, linalg
+from quatrot import _floats, cli, linalg
 from quatrot.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -227,6 +231,145 @@ def test_help_still_prints_usage_and_exits_zero(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("usage: quatrot")
 
 
+# --- the command line is read as argparse read it --------------------------
+
+
+def _oracle_seed(value):
+    try:
+        seed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {value!r}") from None
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
+    return seed
+
+
+class _OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise cli.ParseError(message)
+
+
+def oracle_parser():
+    """The argparse parser the CLI was written with: cli.parse_args must
+    read every command line as this parser, on Python 3.10 and 3.11,
+    reads it."""
+    parser = _OracleParser(
+        prog="quatrot",
+        description="Quaternion decomposition of 3D/4D rotation matrices.",
+    )
+    parser.add_argument("command", choices=sorted(cli._HANDLERS))
+    parser.add_argument("--input", default=None, help="input file (default: stdin)")
+    parser.add_argument("--format", choices=("json", "plain"), default="json")
+    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--seed", type=_oracle_seed, default=None)
+    parser.add_argument("--dim", type=int, choices=(3, 4), default=3)
+    parser.add_argument(
+        "--kind",
+        choices=("auto", "rotation", "rotoreflection"),
+        default="auto",
+        help="isometry kind for quat2mat/mat2quat (default: auto; quat2mat treats auto as rotation)",
+    )
+    return parser
+
+
+def parse_outcome(parse, argv):
+    """("ok", values), ("error", detail) or ("exit", code, stdout) of parse(argv)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            namespace = parse(list(argv))
+    except cli.ParseError as exc:
+        return ("error", str(exc))
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue())
+    return ("ok", vars(namespace))
+
+
+OPTION_VALUES = {
+    "--input": "m.json",
+    "--format": "plain",
+    "--tol": "1e-6",
+    "--seed": "7",
+    "--dim": "4",
+    "--kind": "rotoreflection",
+}
+ARGV_TABLE = (
+    [[command] for command in sorted(cli._HANDLERS)]
+    + [["random", option, value] for option, value in OPTION_VALUES.items()]
+    + [["random", f"{option}={value}"] for option, value in OPTION_VALUES.items()]
+    + [
+        ["random", "--se", "7"],
+        ["random", "--se=7", "--di=4"],
+        ["random", "--h"],
+        ["random", "--seed", "7", "--seed", "8", "--dim=3", "--dim", "4"],
+        ["--seed", "7", "--dim", "4", "random"],
+        ["--seed", "7", "random", "--kind", "rotation"],
+        ["classify", "--tol", "-1"],
+        ["classify", "--tol=-1"],
+        ["classify", "--input"],
+        ["classify", "--input", "--format", "plain"],
+        ["random", "-x"],
+        ["random", "--"],
+        ["--", "random"],
+        ["random", "--", "--seed", "7"],
+        ["--"],
+        ["random", "verify"],
+        ["random", "--seed", "7", "extra", "more"],
+        [],
+        ["-h"],
+        ["--help"],
+        ["random", "--seed", "7", "--help"],
+        ["--help", "--seed"],
+        ["--seed", "abc", "--help"],
+        ["-hh"],
+        ["-hx"],
+        ["--help=x"],
+        ["--help="],
+        ["--=x"],
+        ["rotate", "--seed", "abc"],
+        ["--seed", "abc", "rotate"],
+        ["random", "--seed", str(2**64)],
+        ["random", "--seed", "-1"],
+        ["random", "--dim", "x"],
+        ["random", "--format", "xml"],
+        ["random", "--kind", ""],
+        ["random", "--tol", "-1e5"],
+        ["random", "--input", "-"],
+        ["random", "--bogus=1", "--input", "two words"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", ARGV_TABLE, ids=" ".join)
+def test_the_parser_reads_each_command_line_as_argparse(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parse_outcome(cli.parse_args, argv) == parse_outcome(oracle_parser().parse_args, argv)
+
+
+ARGV_TOKENS = sorted(
+    {t for argv in ARGV_TABLE for t in argv}
+    | {"--s", "--d", "--t=0.5", "--k", "--fo", "--i", "-", "", "-1.5", "-.5", "3", "5", "json", "-h h", "---"}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
+def test_any_command_line_of_these_tokens_reads_as_argparse(argv):
+    want = parse_outcome(oracle_parser().parse_args, argv)
+    if want[0] == "exit":  # help text wraps to the terminal: compare the exits only
+        assert parse_outcome(cli.parse_args, argv)[:2] == want[:2]
+    else:
+        assert parse_outcome(cli.parse_args, argv) == want
+
+
+def test_help_prints_argparses_help_at_80_columns(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == oracle_parser().format_help()
+
+
 # --- parsing edge cases: matrices are read as np.array(data, float64) reads them
 
 IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -311,6 +454,8 @@ def test_an_integer_too_large_for_a_float_is_a_parse_error(args, text, detail, m
 NO_NUMPY_CASES = {name: (*case, 0, None) for name, case in GOLDEN_CASES.items()}
 NO_NUMPY_CASES.update(
     {
+        "help": (["--help"], "", 0, None),
+        "bad_flag": (["random", "--seed", "abc"], "", 2, "parse_error"),
         "parse_error": (["mat2quat"], "this is not json", 2, "parse_error"),
         "non_finite": (["mat2quat"], '{"matrix": [[null, 0, 0], [0, 1, 0], [0, 0, 1]]}', 2, "non_finite"),
         "not_a_rotation": (["decompose4"], json.dumps({"matrix": np.diag([-1.0, 1, 1, 1]).tolist()}), 3, "not_a_rotation"),
@@ -330,7 +475,8 @@ def test_no_cli_process_imports_numpy(name, cli_env):
     modules = {line.rsplit("|", 1)[1].strip() for line in log}
     assert done.returncode == exit_code, done.stderr
     assert "quatrot.cli" in modules
-    assert not [m for m in modules if m.split(".")[0] == "numpy"]
+    # numpy, and the modules argparse and dataclasses would bring in
+    assert not [m for m in modules if m.split(".")[0] in ("numpy", "argparse", "dataclasses", "inspect")]
     if error is not None:
         (message,) = [line for line in done.stderr.splitlines() if not line.startswith("import time:")]
         assert json.loads(message)["error"] == error

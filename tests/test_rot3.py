@@ -301,6 +301,34 @@ def test_angle_and_embed_reject_the_other_kind(m, other):
         embed_4d(m, other)
 
 
+# --- the kind argument: an IsometryKind or its value -------------------------
+
+@pytest.mark.parametrize("kind", list(IsometryKind))
+def test_a_kind_value_string_acts_as_its_member(kind):
+    m = np.eye(3) if kind is IsometryKind.ROTATION else -np.eye(3)
+    assert displaced_angle_cos((0, 0, 1), 0.5, kind.value) == displaced_angle_cos((0, 0, 1), 0.5, kind)
+    assert rotation_angle(m, kind.value) == rotation_angle(m, kind)
+    np.testing.assert_array_equal(embed_4d(m, kind.value), embed_4d(m, kind))
+
+
+def test_the_rotation_string_takes_the_rotation_formula():
+    assert displaced_angle_cos((0, 0, 1), 0.5, "rotation") == 1.0
+    assert displaced_angle_cos((0, 0, 1), 0.5, "rotoreflection") == -1.0
+
+
+@pytest.mark.parametrize("kind", ["ROTATION", "rotate", "", None, 1, ["rotation"]])
+def test_any_other_kind_is_a_kind_mismatch(kind):
+    calls = (
+        lambda: displaced_angle_cos((0, 0, 1), 0.5, kind),
+        lambda: rotation_angle(np.eye(3), kind),
+        lambda: embed_4d(np.eye(3), kind),
+    )
+    for call in calls:
+        with pytest.raises(KindMismatch, match="kind must be 'rotation' or 'rotoreflection'") as info:
+            call()
+        assert info.value.code == "kind_mismatch"
+
+
 # --- embedding -------------------------------------------------------------
 
 def test_embed_trivial():
