@@ -8,13 +8,13 @@ Euler-Rodrigues entries, the a00 = +-1 embedding with the extract,
 angle and embed cores, the associate matrix's signed quarter-sums (which
 3D extraction reads on the embedding), the compose product, the
 reconstruction error and the seeded unit-quaternion draw. This module
-imports only math, quatrot's errors, and enum and collections (whose
-``namedtuple`` makes ``OrthogonalityReport``), which the CLI's json
-loads anyway: no numpy and no dataclasses, so ``python -m quatrot``
-runs on it alone. The public functions of ``linalg``, ``quaternion``,
-``rot3``, ``rot4`` and ``rng`` validate their arguments, call these
-cores on ``ndarray.tolist()`` values and return ``np.array`` of the
-result; ``kernels`` evaluates the row formulas (``_er_entries``,
+imports only math, quatrot's errors, and enum, collections (whose
+``namedtuple`` makes ``OrthogonalityReport``) and operator, which the
+CLI's json loads anyway: no numpy and no dataclasses, so ``python -m
+quatrot`` runs on it alone. The public functions of ``linalg``,
+``quaternion``, ``rot3``, ``rot4`` and ``rng`` validate their arguments,
+call these cores on ``ndarray.tolist()`` values and return ``np.array``
+of the result; ``kernels`` evaluates the row formulas (``_er_entries``,
 ``_products``, ``_ordered_sum``) on the component rows of its blocks.
 
 The summation order is fixed, so results are bit-stable and equal to
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections import namedtuple
 
 from .errors import (
@@ -177,34 +178,40 @@ def _ordered_sum(terms):
 
 
 def _dot(x, y) -> float:
-    return _ordered_sum([a * b for a, b in zip(x, y)])
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = x, y
+    return x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3
 
 
-def _normalized(x) -> list:
-    norm = math.sqrt(_dot(x, x))
-    return [c / norm for c in x]
+def _normalized(x0, x1, x2, x3) -> tuple:
+    norm = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
+    return x0 / norm, x1 / norm, x2 / norm, x3 / norm
 
 
 def _rank1(rows, tol: float):
     """``linalg.rank1_factor`` of the finite 4x4 matrix with rows ``rows``,
     for a tol in (0, 1): (u, v, residual) as floats."""
-    cols = list(zip(*rows))
-    col_squares = [_dot(col, col) for col in cols]
-    scale = math.sqrt(_ordered_sum(col_squares))
+    c0, c1, c2, c3 = cols = tuple(zip(*rows))
+    squares = (_dot(c0, c0), _dot(c1, c1), _dot(c2, c2), _dot(c3, c3))
+    scale = math.sqrt(squares[0] + squares[1] + squares[2] + squares[3])
     if scale <= tol:
         raise ZeroMatrix(f"Frobenius norm {scale:.3e} <= tol {tol:.3e}")
     if scale == math.inf:
         # squares of entries above about 1.3e154 overflow: the seed
         # column's norm is inf, and normalising it gives zeros
         raise NonFiniteInput(f"Frobenius norm overflows to {scale}: entries too large to square")
-    u = _normalized(cols[max(range(4), key=col_squares.__getitem__)])
-    v = _normalized([_dot(col, u) for col in cols])
-    u = _normalized([_dot(row, v) for row in rows])
-    v = _normalized([_dot(col, u) for col in cols])
+    u = _normalized(*cols[max(range(4), key=squares.__getitem__)])
+    v = _normalized(_dot(c0, u), _dot(c1, u), _dot(c2, u), _dot(c3, u))
+    u = _normalized(_dot(rows[0], v), _dot(rows[1], v), _dot(rows[2], v), _dot(rows[3], v))
+    v = _normalized(_dot(c0, u), _dot(c1, u), _dot(c2, u), _dot(c3, u))
     sign = canonical_sign(u)
-    u, v = [c * sign for c in u], [c * sign for c in v]
-    d = [(x - ui * vj) + ui * vj * (1.0 - scale) for row, ui in zip(rows, u) for x, vj in zip(row, v)]
-    return u, v, math.sqrt(_dot(d, d))
+    u = (u[0] * sign, u[1] * sign, u[2] * sign, u[3] * sign)
+    v0, v1, v2, v3 = v = (v[0] * sign, v[1] * sign, v[2] * sign, v[3] * sign)
+    w, total = 1.0 - scale, 0.0
+    for (x0, x1, x2, x3), ui in zip(rows, u):
+        p0, p1, p2, p3 = ui * v0, ui * v1, ui * v2, ui * v3
+        d0, d1, d2, d3 = x0 - p0 + p0 * w, x1 - p1 + p1 * w, x2 - p2 + p2 * w, x3 - p3 + p3 * w
+        total = total + d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+    return u, v, math.sqrt(total)
 
 
 # --- quaternions ----------------------------------------------------------------
@@ -439,7 +446,7 @@ def _require_rank1(residual: float, tol: float) -> None:
 def _decompose(rows, report: OrthogonalityReport) -> tuple:
     """``rot4.decompose_4d`` of the finite 4x4 matrix with rows ``rows``,
     given its report: (left, right, rank1_residual, reconstruction_error).
-    ``rot4._decompose`` takes the same steps through the public functions."""
+    ``rot4.decompose_4d`` takes the same steps through the public functions."""
     tol = report.tolerance_used
     _require_rotation4(report)
     u, v, residual = _rank1(_associate(rows), tol)
@@ -453,7 +460,13 @@ class Xorshift64Star:
     """Deterministic 64-bit PRNG; same seed, same stream, everywhere."""
 
     def __init__(self, seed: int):
-        self._state = (int(seed) & _MASK64) or _ZERO_SEED_REPLACEMENT
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {seed!r}") from None
+        if not 0 <= seed <= _MASK64:
+            raise ValueError("seed must fit in 64 unsigned bits")
+        self._state = seed or _ZERO_SEED_REPLACEMENT
         self._spare_normal = None
 
     def next_u64(self) -> int:

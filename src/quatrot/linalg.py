@@ -3,19 +3,20 @@
 Values are plain float64 numpy arrays: shape (4,) vectors, (3, 3) and
 (4, 4) matrices. The ``as_*`` constructors validate shape, reject NaN/Inf
 and return a C-ordered copy. Each public function of the scalar API
-(here and in quaternion, rot3, rot4 and rng) validates its arguments
-once, at its boundary, hands the validated values on as plain Python
-floats (``ndarray.tolist()``) to the cores in ``_floats``, which import
-no numpy, and returns ``np.array`` of their result. A public function
-that calls another public one (``check_orthonormal`` computes its Gram
-matrix with ``mat_mul``) lets that one validate its own arguments. All
-functions are pure and never mutate their arguments.
+(here and in quaternion, rot3, rot4 and rng) reads each argument once
+with ``_float_rows``: one ``np.array`` unless it is a float64 ndarray
+already, a shape check, ``tolist()``, and ``_floats._require_finite`` on
+the Python floats. It hands those to the cores in ``_floats``, which
+import no numpy, and returns ``np.array`` of their result. All functions
+are pure, never mutate an argument and never return a view of one.
 ``OrthogonalityReport``, ``canonical_sign`` and ``SIGN_EPS`` are
 ``_floats``' own objects, re-exported here; the summation orders are
 described there.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -28,33 +29,37 @@ from ._floats import (
     _mat_mul,
     _orthogonality,
     _rank1,
+    _require_finite,
     canonical_sign,
 )
 from .errors import NonFiniteInput
 
 
-def _validated(a, shape, name: str) -> np.ndarray:
-    arr = np.array(a, dtype=np.float64, order="C")
-    if arr.shape != shape:
-        raise NonFiniteInput(f"{name}: expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteInput(f"{name}: entries must be finite")
-    return arr
+def _float_rows(a, shape: tuple, name: str) -> list:
+    """a's entries as (nested lists of) Python floats, converting only what is
+    not a float64 ndarray; NonFiniteInput naming ``name`` for another shape, NaN or Inf."""
+    if type(a) is not np.ndarray or a.dtype.char != "d":
+        a = np.array(a, dtype=np.float64)
+    if a.shape != shape:
+        raise NonFiniteInput(f"{name}: expected shape {shape}, got {a.shape}")
+    rows = a.tolist()
+    _require_finite(chain(*rows) if len(shape) == 2 else rows, name)
+    return rows
 
 
 def as_vec4(v) -> np.ndarray:
     """Validate and copy a length-4 vector."""
-    return _validated(v, (4,), "vec4")
+    return np.array(_float_rows(v, (4,), "vec4"))
 
 
 def as_mat3(m) -> np.ndarray:
     """Validate and copy a 3x3 matrix."""
-    return _validated(m, (3, 3), "mat3")
+    return np.array(_float_rows(m, (3, 3), "mat3"))
 
 
 def as_mat4(m) -> np.ndarray:
     """Validate and copy a 4x4 matrix."""
-    return _validated(m, (4, 4), "mat4")
+    return np.array(_float_rows(m, (4, 4), "mat4"))
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,19 +72,18 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     shape = np.shape(a)
     if shape != np.shape(b) or shape not in ((3, 3), (4, 4)):
         raise NonFiniteInput(f"matrix product: incompatible shapes {shape}, {np.shape(b)}")
-    rows = _validated(a, shape, "matrix").tolist()
-    cols = _validated(b, shape, "matrix").T.tolist()
-    return np.array(_mat_mul(rows, cols))
+    rows = _float_rows(a, shape, "matrix")
+    return np.array(_mat_mul(rows, list(zip(*_float_rows(b, shape, "matrix")))))
 
 
 def det3(m: np.ndarray) -> float:
     """Determinant of a 3x3 matrix, cofactor expansion along row 0."""
-    return _det3(as_mat3(m).tolist())
+    return _det3(_float_rows(m, (3, 3), "mat3"))
 
 
 def det4(m: np.ndarray) -> float:
     """Determinant of a 4x4 matrix, cofactor expansion along row 0."""
-    return _det4(as_mat4(m).tolist())
+    return _det4(_float_rows(m, (4, 4), "mat4"))
 
 
 def check_orthonormal(m: np.ndarray, tol: float = DEFAULT_TOL) -> OrthogonalityReport:
@@ -94,8 +98,8 @@ def check_orthonormal(m: np.ndarray, tol: float = DEFAULT_TOL) -> OrthogonalityR
     m = np.asarray(m, dtype=np.float64)
     if m.shape not in ((3, 3), (4, 4)):
         raise NonFiniteInput(f"orthonormality check: expected 3x3 or 4x4, got {m.shape}")
-    m = _validated(m, m.shape, f"mat{m.shape[0]}")
-    return _orthogonality(m.tolist(), mat_mul(m.T, m).tolist(), tol)
+    rows = _float_rows(m, m.shape, f"mat{m.shape[0]}")
+    return _orthogonality(rows, mat_mul(m.T, m).tolist(), tol)
 
 
 def rank1_factor(m: np.ndarray, tol: float = DEFAULT_TOL):
@@ -112,5 +116,5 @@ def rank1_factor(m: np.ndarray, tol: float = DEFAULT_TOL):
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must be in (0, 1)")
-    u, v, residual = _rank1(as_mat4(m).tolist(), tol)
+    u, v, residual = _rank1(_float_rows(m, (4, 4), "mat4"), tol)
     return np.array(u), np.array(v), residual

@@ -8,8 +8,8 @@ is worth stating loudly: scalar FIRST, and a quaternion doubles as a plain
 Quaternions are float64 numpy arrays of shape (4,). ``as_unit`` silently
 renormalizes inputs whose norm is within 1e-6 of 1 (accumulated rounding)
 and rejects anything further out (a real error, not noise). Each public
-function validates its argument once and computes on its four Python
-floats with the cores in ``_floats`` (``_norm``, ``_unit``,
+function reads its argument once as four floats (``_float_rows``) and
+computes with the cores in ``_floats`` (``_norm``, ``_unit``,
 ``_left_rows``, ``_right_rows``); the norm adds the four squares from
 0.0 in index order, which is how numpy sums fewer than eight terms.
 """
@@ -19,18 +19,18 @@ from __future__ import annotations
 import numpy as np
 
 from ._floats import _left_rows, _norm, _right_rows, _unit
-from .linalg import as_vec4
+from .linalg import _float_rows
 
 
 def as_unit(q) -> np.ndarray:
     """Validated unit quaternion; normalizes within the 1e-6 window."""
-    return np.array(_unit(as_vec4(q).tolist()))
+    return np.array(_unit(_float_rows(q, (4,), "vec4")))
 
 
 def quat_mul(a, b) -> np.ndarray:
     """Hamilton product a * b."""
-    aw, ax, ay, az = as_vec4(a).tolist()
-    bw, bx, by, bz = as_vec4(b).tolist()
+    aw, ax, ay, az = _float_rows(a, (4,), "vec4")
+    bw, bx, by, bz = _float_rows(b, (4,), "vec4")
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -43,12 +43,12 @@ def quat_mul(a, b) -> np.ndarray:
 
 def conjugate(q) -> np.ndarray:
     """(w, -x, -y, -z)."""
-    w, x, y, z = as_vec4(q).tolist()
+    w, x, y, z = _float_rows(q, (4,), "vec4")
     return np.array([w, -x, -y, -z])
 
 
 def norm(q) -> float:
-    return _norm(as_vec4(q).tolist())
+    return _norm(_float_rows(q, (4,), "vec4"))
 
 
 def left_matrix(l) -> np.ndarray:
@@ -57,7 +57,7 @@ def left_matrix(l) -> np.ndarray:
     left_matrix(l) @ q == quat_mul(l, q) for any quaternion q viewed as a
     4-vector in (w, x, y, z) order.
     """
-    return np.array(_left_rows(_unit(as_vec4(l).tolist())))
+    return np.array(_left_rows(_unit(_float_rows(l, (4,), "vec4"))))
 
 
 def right_matrix(r) -> np.ndarray:
@@ -65,4 +65,4 @@ def right_matrix(r) -> np.ndarray:
 
     right_matrix(r) @ q == quat_mul(q, r).
     """
-    return np.array(_right_rows(_unit(as_vec4(r).tolist())))
+    return np.array(_right_rows(_unit(_float_rows(r, (4,), "vec4"))))

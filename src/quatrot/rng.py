@@ -4,8 +4,8 @@ The generator is xorshift64* (Marsaglia xorshift with shifts 12/25/27 and
 the 2685821657736338717 output multiplier), chosen because it is trivial
 to re-implement bit-for-bit in any language, so generated test cases are
 reproducible from the seed alone. Normals come from the Box-Muller
-transform. A seed of 0 (the one forbidden xorshift state) is replaced by
-a fixed nonzero constant.
+transform. Seeds are integers in [0, 2**64), as for the CLI; 0 (the one
+forbidden xorshift state) is replaced by a fixed nonzero constant.
 
 Unit quaternions are sampled uniformly on the 3-sphere: four independent
 standard normals, normalized (redrawn in the measure-zero case of a tiny

@@ -12,12 +12,12 @@ the input really is a rotation matrix.
 
 The Euler-Rodrigues entries (``_er_entries``), the product table
 (``_products``) and the extract, angle and embed cores are written once,
-in ``_floats``, on Python floats. The functions here validate their
-matrix, check it once (``check_orthonormal``), call those cores and wrap
-the results in numpy arrays; ``kernels`` evaluates the same row formulas
-on the component rows of its blocks, so both paths give the same bits,
-and the CLI calls the cores without numpy. ``IsometryKind`` is
-``_floats``' own class.
+in ``_floats``, on Python floats. The functions here read their matrix
+once as floats (``linalg._float_rows``), check it once
+(``check_orthonormal``), call those cores and wrap the results in numpy
+arrays; ``kernels`` evaluates the same row formulas on the component
+rows of its blocks, so both paths give the same bits, and the CLI calls
+the cores without numpy. ``IsometryKind`` is ``_floats``' own class.
 
 Kind detection is purely the determinant sign: +1 rotation, -1
 rotoreflection. Angles come from the trace: trace = 2 cos(alpha) + 1 for
@@ -42,12 +42,11 @@ from ._floats import (
     _as_kind,
     _classify,
     _embed_4d,
-    _require_finite,
     _rotation_angle,
     _rotation_rows,
 )
 from .errors import NonFiniteInput, OriginPoint
-from .linalg import as_mat3, as_vec4, check_orthonormal
+from .linalg import _float_rows, check_orthonormal
 
 
 class AngleReport(namedtuple("AngleReport", "alpha cos_alpha")):
@@ -74,7 +73,7 @@ def euler_rodrigues(q) -> np.ndarray:
          [2ad + 2bc, a^2 - b^2 + c^2 - d^2, 2cd - 2ab],
          [2bd - 2ac, 2ab + 2cd, a^2 - b^2 - c^2 + d^2]]
     """
-    return np.array(_rotation_rows(as_vec4(q).tolist()))
+    return np.array(_rotation_rows(_float_rows(q, (4,), "vec4")))
 
 
 def rotoreflection_matrix(q) -> np.ndarray:
@@ -85,16 +84,16 @@ def rotoreflection_matrix(q) -> np.ndarray:
 
 def classify(m, tol: float = DEFAULT_TOL) -> IsometryKind:
     """Rotation or rotoreflection, by the determinant of an orthogonal m."""
-    m = as_mat3(m)
+    _float_rows(m, (3, 3), "mat3")
     return _classify(check_orthonormal(m, tol))
 
 
 def _extract(
-    m: np.ndarray, report: OrthogonalityReport, kind: IsometryKind, refine: bool = False
+    rows: list, report: OrthogonalityReport, kind: IsometryKind, refine: bool = False
 ) -> ExtractionResult:
-    """Extraction from a matrix that passed as_mat3, given the
-    OrthogonalityReport that check_orthonormal made of it."""
-    params, branch, residual = _floats._extract(m.tolist(), report, kind, refine)
+    """Extraction from the rows that _float_rows read of a 3x3 matrix,
+    given the OrthogonalityReport that check_orthonormal made of it."""
+    params, branch, residual = _floats._extract(rows, report, kind, refine)
     return ExtractionResult(np.array(params), branch, residual)
 
 
@@ -111,8 +110,8 @@ def extract_rotation(m, tol: float = DEFAULT_TOL, refine: bool = False) -> Extra
     Raises NotARotation if m fails the orthogonality/determinant gate,
     InconsistentSystem if the ten equations disagree beyond tol.
     """
-    m = as_mat3(m)
-    return _extract(m, check_orthonormal(m, tol), IsometryKind.ROTATION, refine)
+    rows = _float_rows(m, (3, 3), "mat3")
+    return _extract(rows, check_orthonormal(m, tol), IsometryKind.ROTATION, refine)
 
 
 def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) -> ExtractionResult:
@@ -122,8 +121,8 @@ def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) ->
     embedding with corner a00 = -1, which is -q conj(q)^T: the parameters
     are those of the rotation -m, without negating m.
     """
-    m = as_mat3(m)
-    return _extract(m, check_orthonormal(m, tol), IsometryKind.ROTOREFLECTION, refine)
+    rows = _float_rows(m, (3, 3), "mat3")
+    return _extract(rows, check_orthonormal(m, tol), IsometryKind.ROTOREFLECTION, refine)
 
 
 def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleReport:
@@ -139,9 +138,9 @@ def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleRepo
     kind is an IsometryKind or its value. Raises NotOrthogonal off the
     gate, KindMismatch for the other kind or a kind that is neither.
     """
-    m = as_mat3(m)
+    rows = _float_rows(m, (3, 3), "mat3")
     kind = _as_kind(kind)
-    return AngleReport(*_rotation_angle(m.tolist(), check_orthonormal(m, tol), kind))
+    return AngleReport(*_rotation_angle(rows, check_orthonormal(m, tol), kind))
 
 
 def embed_4d(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -150,9 +149,9 @@ def embed_4d(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> np.ndarray:
     lower-right block. Both embeddings have det +1. kind is an
     IsometryKind or its value; KindMismatch for the other kind or a kind
     that is neither."""
-    m = as_mat3(m)
+    rows = _float_rows(m, (3, 3), "mat3")
     kind = _as_kind(kind)
-    return np.array(_embed_4d(m.tolist(), check_orthonormal(m, tol), kind))
+    return np.array(_embed_4d(rows, check_orthonormal(m, tol), kind))
 
 
 def displaced_angle_cos(point, alpha: float, kind: IsometryKind) -> float:
@@ -166,11 +165,11 @@ def displaced_angle_cos(point, alpha: float, kind: IsometryKind) -> float:
     The point is first scaled by a power of two (exactly) so that its
     largest |component| lies in [0.5, 1): the squares cannot overflow or
     all underflow, so only the origin raises OriginPoint. Raises
-    NonFiniteInput for a NaN or inf component or alpha, KindMismatch for
-    a kind that is neither an IsometryKind nor its value.
+    NonFiniteInput for a point that is not three numbers, a NaN or inf
+    component or alpha, KindMismatch for a kind that is neither an
+    IsometryKind nor its value.
     """
-    x, y, z = (float(v) for v in point)
-    _require_finite((x, y, z), "point")
+    x, y, z = _float_rows(point, (3,), "point")
     if not math.isfinite(alpha):
         raise NonFiniteInput(f"alpha must be finite, got {alpha!r}")
     kind = _as_kind(kind)

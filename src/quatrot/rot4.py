@@ -19,10 +19,11 @@ error without recomposing.
 
 The associate entries, the compose product and the reconstruction
 error are written once, in ``_floats``, on Python floats; the functions
-here validate, call them and return numpy arrays. ``decompose_4d``
-keeps its calls of the public ``check_orthonormal``, ``rank1_factor``
-and ``compose_4d`` (each calls ``mat_mul`` or the cores), and the CLI
-runs the same cores through ``_floats._decompose`` without numpy.
+here read each argument once as floats (``linalg._float_rows``), call
+them and return numpy arrays. ``decompose_4d`` keeps its calls of the
+public ``check_orthonormal``, ``rank1_factor`` and ``compose_4d`` (each
+calls ``mat_mul`` or the cores), and the CLI runs the same cores through
+``_floats._decompose`` without numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 from ._floats import (
     DEFAULT_TOL,
-    OrthogonalityReport,
     _associate,
     _frobenius_distance,
     _left_rows,
@@ -42,7 +42,7 @@ from ._floats import (
     _right_rows,
     _unit,
 )
-from .linalg import as_mat4, as_vec4, check_orthonormal, mat_mul, rank1_factor
+from .linalg import _float_rows, check_orthonormal, mat_mul, rank1_factor
 
 
 class QuatPairDecomposition(
@@ -61,8 +61,8 @@ class QuatPairDecomposition(
 
 def compose_4d(l, r) -> np.ndarray:
     """4D rotation matrix M_L(l) @ M_R(r) for unit quaternions l, r."""
-    l = _unit(as_vec4(l).tolist())
-    r = _unit(as_vec4(r).tolist())
+    l = _unit(_float_rows(l, (4,), "vec4"))
+    r = _unit(_float_rows(r, (4,), "vec4"))
     return mat_mul(np.array(_left_rows(l)), np.array(_right_rows(r)))
 
 
@@ -72,19 +72,7 @@ def associate_matrix(a) -> np.ndarray:
     Defined for any 4x4 input; the rank-1 and unit-norm properties hold
     exactly when the input is a rotation matrix. Linear in the input.
     """
-    return np.array(_associate(as_mat4(a).tolist()))
-
-
-def _decompose(a: np.ndarray, report: OrthogonalityReport) -> QuatPairDecomposition:
-    """decompose_4d of a matrix that passed as_mat4, given the
-    OrthogonalityReport that check_orthonormal made of it: the steps of
-    ``_floats._decompose``, through the public functions."""
-    tol = report.tolerance_used
-    _require_rotation4(report)
-    u, v, residual = rank1_factor(associate_matrix(a), tol)
-    _require_rank1(residual, tol)
-    err = _frobenius_distance(a.tolist(), compose_4d(u, v).tolist())
-    return QuatPairDecomposition(u, v, residual, err)
+    return np.array(_associate(_float_rows(a, (4, 4), "mat4")))
 
 
 def decompose_4d(a, tol: float = DEFAULT_TOL) -> QuatPairDecomposition:
@@ -93,7 +81,12 @@ def decompose_4d(a, tol: float = DEFAULT_TOL) -> QuatPairDecomposition:
     Raises NotARotation when the input fails the orthogonality gate or has
     determinant -1 (4D rotoreflections are out of scope), RankDeficiency
     when the associate matrix is not rank 1 within tol (an input that
-    sneaked past the orthogonality gate but is not a rotation).
+    sneaked past the orthogonality gate but is not a rotation). The steps
+    of ``_floats._decompose``, through the public functions.
     """
-    a = as_mat4(a)
-    return _decompose(a, check_orthonormal(a, tol))
+    rows = _float_rows(a, (4, 4), "mat4")
+    _require_rotation4(check_orthonormal(a, tol))
+    u, v, residual = rank1_factor(associate_matrix(a), tol)
+    _require_rank1(residual, tol)
+    err = _frobenius_distance(rows, compose_4d(u, v).tolist())
+    return QuatPairDecomposition(u, v, residual, err)

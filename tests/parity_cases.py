@@ -4,10 +4,11 @@
 and rotoreflections, unit and near-unit quaternions, exact integer
 matrices, wrong shapes, non-finite entries, and a scaled identity that
 passes a loose gate with a determinant far from +-1) and, for every call that
-``calls`` builds from them, the outcome the library gave when the file
-was recorded: the bytes of each returned float and array, or the error's
-class, ``code`` and message. ``test_scalar_parity.py`` replays the calls
-and compares outcomes byte for byte.
+``calls`` (the library) and ``cli_cases.cli_calls`` (the CLI) build from
+them, the outcome the library gave when the file was recorded: the bytes
+of each returned float and array, or the error's class, ``code`` and
+message. ``test_scalar_parity.py`` replays the calls and compares
+outcomes byte for byte.
 
 Record a new file (only when an output change is deliberate and noted in
 CHANGES.md) with
@@ -17,15 +18,15 @@ CHANGES.md) with
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import importlib
-import io
 import json
 import struct
 import sys
 
 import numpy as np
+
+from cli_cases import cli_calls, cli_outcome
 
 FIXTURE_SEED = 20070
 NOISE3 = (0.0, 1e-16, 1e-14, 1e-12, 1e-10, 3e-9)
@@ -291,59 +292,6 @@ def calls(inp: dict):
     yield "random_rotation/dim5", "rng.random_rotation", (1, 5), {}
 
 
-def cli_calls(inp: dict):
-    """(case id, argv, stdin text) for quatrot.cli.main on valid and
-    rejected matrices; the outcome is the exit code, stdout and stderr."""
-    def text(m):
-        return json.dumps({"matrix": m.tolist()})
-
-    nan3 = inp["m3"][12].tolist()
-    nan3[1][1] = float("nan")
-    mats = {
-        "rotation": text(inp["m3"][13]),
-        "noisy": text(inp["m3"][16]),
-        "rotoreflection": text(inp["rr3"][14]),
-        "exact": text(inp["exact3"][3]),
-        "far": text(inp["far3"][1]),
-        "huge": text(inp["huge3"][0]),
-        "nan": json.dumps({"matrix": nan3}),
-    }
-    for label, stdin in mats.items():
-        for argv in (["verify"], ["classify"], ["angle"], ["embed"], ["mat2quat"],
-                     ["mat2quat", "--kind", "rotation"], ["mat2quat", "--kind", "rotoreflection"],
-                     ["angle", "--tol", "1e-6"], ["mat2quat", "--format", "plain"]):
-            if "plain" in argv:
-                rows = json.loads(stdin)["matrix"]
-                yield f"cli/{label}/{' '.join(argv)}", argv, "\n".join(" ".join(map(repr, r)) for r in rows)
-            else:
-                yield f"cli/{label}/{' '.join(argv)}", argv, stdin
-    for i in (2, 13, 16):
-        for argv in (["verify"], ["decompose4"], ["verify", "--tol", "1e-7"]):
-            yield f"cli/m4/{i}/{' '.join(argv)}", argv, text(inp["m4"][i])
-    for i in range(len(inp["exact4"])):
-        yield f"cli/exact4/{i}/verify", ["verify"], text(inp["exact4"][i])
-    nan4 = inp["m4"][3].tolist()
-    nan4[0][0] = float("nan")
-    for argv in (["verify"], ["decompose4"]):
-        yield f"cli/m4/nan/{argv[0]}", argv, json.dumps({"matrix": nan4})
-    for argv in (["classify", "--tol", "0.5"], ["verify", "--tol", "0.5"]):
-        yield f"cli/scaled/{' '.join(argv)}", argv, text(inp["scaled3"][0])
-
-
-def cli_outcome(argv, stdin):
-    from quatrot import cli
-
-    out, err = io.StringIO(), io.StringIO()
-    saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-    finally:
-        sys.stdin = saved
-    return ["cli", code, out.getvalue(), err.getvalue()]
-
-
 def resolve(name: str):
     module, attr = name.split(".")
     return getattr(importlib.import_module(f"quatrot.{module}"), attr)
@@ -401,7 +349,7 @@ def record(path: str) -> None:
     for case, name, args, kwargs in calls(inp):
         assert case not in outcomes, case
         outcomes[case] = outcome(resolve(name), args, kwargs)
-    for case, argv, stdin in cli_calls(inp):
+    for case, argv, stdin in cli_calls({k: v.tolist() for k, v in inp.items()}):
         assert case not in outcomes, case
         outcomes[case] = cli_outcome(argv, stdin)
     inputs = {k: _encode_input(v) for k, v in inp.items()}

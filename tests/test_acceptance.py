@@ -7,11 +7,11 @@ import math
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cli_cases import GOLDEN_CASES, GOLDEN_DIR
 import quatrot.kernels as kernels
 from quatrot.errors import NotARotation
 from quatrot.rng import Xorshift64Star, random_unit_quaternion
@@ -26,8 +26,6 @@ from quatrot.rot3 import (
     rotoreflection_matrix,
 )
 from quatrot.rot4 import decompose_4d
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -243,37 +241,8 @@ def test_criterion_8_cli_contract(cli_env):
     base = [sys.executable, "-m", "quatrot"]
     failures = []
 
-    golden_inputs = {
-        "quat2mat": (
-            [],
-            json.dumps(
-                {"quaternion": {"w": math.sqrt(2) / 2, "x": 0, "y": 0, "z": math.sqrt(2) / 2}}
-            ),
-        ),
-        "mat2quat": ([], json.dumps({"matrix": np.eye(3).tolist()})),
-        "decompose4": (
-            [],
-            json.dumps({"matrix": [[1, 0, 0, 0], [0, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]}),
-        ),
-        "compose4": (
-            [],
-            json.dumps(
-                {
-                    "left": {"w": 0, "x": 1, "y": 0, "z": 0},
-                    "right": {"w": 1, "x": 0, "y": 0, "z": 0},
-                }
-            ),
-        ),
-        "classify": ([], json.dumps({"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]})),
-        "angle": ([], json.dumps({"matrix": [[0, -1, 0], [1, 0, 0], [0, 0, 1]]})),
-        "embed": ([], json.dumps({"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]})),
-        "random": (["--seed", "7", "--dim", "3"], ""),
-        "verify": ([], json.dumps({"matrix": np.eye(4).tolist()})),
-    }
-    for name, (extra, stdin_text) in golden_inputs.items():
-        proc = subprocess.run(
-            base + [name] + extra, input=stdin_text, capture_output=True, text=True, env=cli_env
-        )
+    for name, (argv, stdin_text) in GOLDEN_CASES.items():
+        proc = subprocess.run(base + argv, input=stdin_text, capture_output=True, text=True, env=cli_env)
         expected = (GOLDEN_DIR / f"{name}.json").read_text()
         if proc.returncode != 0 or proc.stdout != expected:
             failures.append(f"{name} golden mismatch")

@@ -3,7 +3,6 @@ import contextlib
 import importlib
 import io
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_cases import GOLDEN_CASES, GOLDEN_DIR
 from quatrot import _floats, cli, linalg
 from quatrot.cli import main
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
-
-S2 = math.sqrt(2.0) / 2.0
-
 
 def run_cli(args, stdin_text="", monkeypatch=None, capsys=None):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
@@ -29,35 +24,6 @@ def run_cli(args, stdin_text="", monkeypatch=None, capsys=None):
 
 
 # --- golden files, one per subcommand --------------------------------------
-
-GOLDEN_CASES = {
-    "quat2mat": (
-        ["quat2mat"],
-        json.dumps({"quaternion": {"w": S2, "x": 0, "y": 0, "z": S2}}),
-    ),
-    "mat2quat": (["mat2quat"], json.dumps({"matrix": np.eye(3).tolist()})),
-    "decompose4": (
-        ["decompose4"],
-        json.dumps(
-            {"matrix": [[1, 0, 0, 0], [0, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]}
-        ),
-    ),
-    "compose4": (
-        ["compose4"],
-        json.dumps(
-            {
-                "left": {"w": 0, "x": 1, "y": 0, "z": 0},
-                "right": {"w": 1, "x": 0, "y": 0, "z": 0},
-            }
-        ),
-    ),
-    "classify": (["classify"], json.dumps({"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]})),
-    "angle": (["angle"], json.dumps({"matrix": [[0, -1, 0], [1, 0, 0], [0, 0, 1]]})),
-    "embed": (["embed"], json.dumps({"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]})),
-    "random": (["random", "--seed", "7", "--dim", "3"], ""),
-    "verify": (["verify"], json.dumps({"matrix": np.eye(4).tolist()})),
-}
-
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden(name, monkeypatch, capsys):

@@ -58,3 +58,44 @@ def test_random_rotation_determinism():
 def test_random_rotation_bad_dim():
     with pytest.raises(ValueError):
         random_rotation(1, 5)
+
+
+# --- the seed rule: the library takes the seeds the CLI takes ------------------
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (1.7, "seed must be an integer, got 1.7"),
+        (2.0, "seed must be an integer, got 2.0"),
+        ("7", "seed must be an integer, got '7'"),
+        (None, "seed must be an integer, got None"),
+        (-1, "seed must fit in 64 unsigned bits"),
+        (2**64, "seed must fit in 64 unsigned bits"),
+        (np.int64(-1), "seed must fit in 64 unsigned bits"),
+    ],
+)
+def test_a_seed_outside_the_cli_rule_is_rejected(seed, message):
+    for make in (Xorshift64Star, lambda s: random_rotation(s, 3), lambda s: random_rotation(s, 4)):
+        with pytest.raises(ValueError) as exc:
+            make(seed)
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+def test_the_cli_rejects_the_same_seeds_with_the_same_texts(capsys):
+    from quatrot import cli
+
+    for text, detail in (("1.7", "seed must be an integer, got '1.7'"), ("-1", "seed must fit in 64 unsigned bits"),
+                         (str(2**64), "seed must fit in 64 unsigned bits")):
+        assert cli.main(["random", "--seed", text]) == 2
+        assert detail in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63, 2**64 - 1])
+def test_numpy_integer_seeds_give_the_int_seeds_stream(seed):
+    want = Xorshift64Star(seed)
+    want = [want.next_u64() for _ in range(4)]
+    for same in [np.uint64(seed)] + ([np.int64(seed)] if seed < 2**63 else []):
+        rng = Xorshift64Star(same)
+        assert [rng.next_u64() for _ in range(4)] == want
+        for dim in (3, 4):
+            assert random_rotation(same, dim).tobytes() == random_rotation(seed, dim).tobytes()

@@ -18,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import cli_cases
 import parity_cases
 from quatrot import linalg, quaternion
 
@@ -27,7 +28,7 @@ FIXTURE = Path(__file__).parent / "data" / "scalar_parity.json"
 @pytest.fixture(scope="module")
 def recorded():
     stored = json.loads(FIXTURE.read_text())
-    return parity_cases.decode_inputs(stored["inputs"]), stored["outcomes"]
+    return parity_cases.decode_inputs(stored["inputs"]), stored["outcomes"], cli_cases.decode_inputs(stored["inputs"])
 
 
 def _snapshot(args):
@@ -44,7 +45,7 @@ def _unchanged(before, args):
 
 
 def test_every_recorded_outcome_is_reproduced(recorded):
-    inputs, outcomes = recorded
+    inputs, outcomes, cli_inputs = recorded
     seen, moved, mutated = set(), [], []
     for case, name, args, kwargs in parity_cases.calls(inputs):
         seen.add(case)
@@ -54,17 +55,17 @@ def test_every_recorded_outcome_is_reproduced(recorded):
             moved.append((case, outcomes[case], got))
         if not _unchanged(before, args):
             mutated.append(case)
-    for case, argv, stdin in parity_cases.cli_calls(inputs):
+    for case, argv, stdin in cli_cases.cli_calls(cli_inputs):
         seen.add(case)
-        if parity_cases.cli_outcome(argv, stdin) != outcomes[case]:
-            moved.append((case, outcomes[case], parity_cases.cli_outcome(argv, stdin)))
+        if (got := cli_cases.cli_outcome(argv, stdin)) != outcomes[case]:
+            moved.append((case, outcomes[case], got))
     assert seen == set(outcomes)
     assert not moved, moved[:5]
     assert not mutated, mutated[:5]
 
 
 def test_fixture_covers_every_error_path(recorded):
-    _, outcomes = recorded
+    _, outcomes, _ = recorded
     errors = {v[1] for v in outcomes.values() if v[0] == "err"}
     assert {
         "NonFiniteInput", "NotUnit", "NotOrthogonal", "NotARotation", "NotARotoreflection",
