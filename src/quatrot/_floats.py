@@ -206,6 +206,7 @@ def _rank1(rows, tol: float):
     sign = canonical_sign(u)
     u = (u[0] * sign, u[1] * sign, u[2] * sign, u[3] * sign)
     v0, v1, v2, v3 = v = (v[0] * sign, v[1] * sign, v[2] * sign, v[3] * sign)
+    # 0.0 + a square is that square, so the 16 add as one left-to-right chain
     w, total = 1.0 - scale, 0.0
     for (x0, x1, x2, x3), ui in zip(rows, u):
         p0, p1, p2, p3 = ui * v0, ui * v1, ui * v2, ui * v3
