@@ -178,8 +178,7 @@ def _ordered_sum(terms):
 
 
 def _dot(x, y) -> float:
-    (x0, x1, x2, x3), (y0, y1, y2, y3) = x, y
-    return x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
 
 
 def _normalized(x0, x1, x2, x3) -> tuple:
