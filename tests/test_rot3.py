@@ -414,21 +414,6 @@ def test_displaced_angle_rejects_a_point_that_is_not_three_numbers(point, got):
         assert str(exc.value) == f"point: expected shape (3,), got {got}"
 
 
-def test_displaced_angle_names_the_point_when_an_entry_is_not_finite():
-    with pytest.raises(NonFiniteInput) as exc:
-        displaced_angle_cos([1.0, math.nan, 0.0], 0.5, "rotation")
-    assert str(exc.value) == "point: entries must be finite"
-
-
-@pytest.mark.parametrize(
-    "point", [(3, -4, 12), np.array([3, -4, 12]), np.array([3.0, -4.0, 12.0], dtype=np.float32), [True, False, True]]
-)
-def test_displaced_angle_reads_any_three_numbers_as_floats(point):
-    want = tuple(float(v) for v in np.asarray(point, dtype=np.float64))
-    for kind in IsometryKind:
-        assert displaced_angle_cos(point, 0.5, kind) == displaced_angle_cos(want, 0.5, kind)
-
-
 @pytest.mark.parametrize("scale", [1e-200, 2.0**-1040, 1e200, 1e307])
 def test_displaced_angle_is_scale_free(scale):
     """Only the origin is rejected, and a point far from 1 in size gives
