@@ -128,8 +128,9 @@ def _gram(rows) -> list:
 
 
 def _gram_deviation(gram) -> float:
-    """max |gram[i][j] - (i == j)| over a Gram matrix given as rows."""
-    devs = [abs(x - (i == j)) for i, row in enumerate(gram) for j, x in enumerate(row)]
+    """max |gram[i][j] - (i == j)| over i <= j of a Gram matrix given as rows:
+    (i, j) and (j, i) add the same products in the same order, so they are equal."""
+    devs = [abs(row[j] - (i == j)) for i, row in enumerate(gram) for j in range(i, len(row))]
     dev = max(devs)
     if not dev < math.inf:
         # Python's max keeps a NaN only when it comes first; numpy's max

@@ -7,8 +7,9 @@ and return a C-ordered copy. Each public function of the scalar API
 with ``_float_rows``: one ``np.array`` unless it is a float64 ndarray
 already, a shape check, ``tolist()``, and ``_floats._require_finite`` on
 the Python floats. It hands those to the cores in ``_floats``, which
-import no numpy, and returns ``np.array`` of their result. All functions
-are pure, never mutate an argument and never return a view of one.
+import no numpy, and returns ``np.array`` of their result (``rot3``
+gates its floats with ``_report``). All functions are pure, never
+mutate an argument and never return a view of one.
 ``OrthogonalityReport``, ``canonical_sign`` and ``SIGN_EPS`` are
 ``_floats``' own objects, re-exported here; the summation orders are
 described there.
@@ -17,6 +18,7 @@ described there.
 from __future__ import annotations
 
 from itertools import chain
+from numbers import Real
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from ._floats import (
     OrthogonalityReport,
     _det3,
     _det4,
+    _gram,
     _mat_mul,
     _orthogonality,
     _rank1,
@@ -45,6 +48,18 @@ def _float_rows(a, shape: tuple, name: str) -> list:
     rows = a.tolist()
     _require_finite(chain(*rows) if len(shape) == 2 else rows, name)
     return rows
+
+
+def _require_tol(tol) -> None:
+    """ValueError unless tol is a real number in (0, 1); a float skips the ABC check."""
+    if not ((type(tol) is float or isinstance(tol, Real)) and 0.0 < tol < 1.0):
+        raise ValueError("tol must be in (0, 1)")
+
+
+def _report(rows: list, tol) -> OrthogonalityReport:
+    """``check_orthonormal(m, tol)``, on the rows ``_float_rows`` read of m."""
+    _require_tol(tol)
+    return _orthogonality(rows, _gram(rows), tol)
 
 
 def as_vec4(v) -> np.ndarray:
@@ -93,12 +108,12 @@ def check_orthonormal(m: np.ndarray, tol: float = DEFAULT_TOL) -> OrthogonalityR
     Raises ValueError unless 0 < tol < 1: from tol 1 up, the windows
     around determinant +1 and -1 overlap, and a NaN tol fails every gate.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must be in (0, 1)")
+    _require_tol(tol)
     m = np.asarray(m, dtype=np.float64)
     if m.shape not in ((3, 3), (4, 4)):
         raise NonFiniteInput(f"orthonormality check: expected 3x3 or 4x4, got {m.shape}")
     rows = _float_rows(m, m.shape, f"mat{m.shape[0]}")
+    # mat_mul gives _gram(rows)'s bytes; it stays while perfbench pins it (ROADMAP item 6)
     return _orthogonality(rows, mat_mul(m.T, m).tolist(), tol)
 
 
@@ -114,7 +129,6 @@ def rank1_factor(m: np.ndarray, tol: float = DEFAULT_TOL):
     ValueError unless 0 < tol < 1, ZeroMatrix when ||m||_F <= tol, and
     NonFiniteInput when ||m||_F overflows (entries above about 1.3e154).
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must be in (0, 1)")
+    _require_tol(tol)
     u, v, residual = _rank1(_float_rows(m, (4, 4), "mat4"), tol)
     return np.array(u), np.array(v), residual

@@ -13,8 +13,8 @@ the input really is a rotation matrix.
 The Euler-Rodrigues entries (``_er_entries``), the product table
 (``_products``) and the extract, angle and embed cores are written once,
 in ``_floats``, on Python floats. The functions here read their matrix
-once as floats (``linalg._float_rows``), check it once
-(``check_orthonormal``), call those cores and wrap the results in numpy
+once as floats (``linalg._float_rows``), check those floats once
+(``linalg._report``), call those cores and wrap the results in numpy
 arrays; ``kernels`` evaluates the same row formulas on the component
 rows of its blocks, so both paths give the same bits, and the CLI calls
 the cores without numpy. ``IsometryKind`` is ``_floats``' own class.
@@ -46,7 +46,7 @@ from ._floats import (
     _rotation_rows,
 )
 from .errors import NonFiniteInput, OriginPoint
-from .linalg import _float_rows, check_orthonormal
+from .linalg import _float_rows, _report
 
 
 class AngleReport(namedtuple("AngleReport", "alpha cos_alpha")):
@@ -84,15 +84,14 @@ def rotoreflection_matrix(q) -> np.ndarray:
 
 def classify(m, tol: float = DEFAULT_TOL) -> IsometryKind:
     """Rotation or rotoreflection, by the determinant of an orthogonal m."""
-    _float_rows(m, (3, 3), "mat3")
-    return _classify(check_orthonormal(m, tol))
+    return _classify(_report(_float_rows(m, (3, 3), "mat3"), tol))
 
 
 def _extract(
     rows: list, report: OrthogonalityReport, kind: IsometryKind, refine: bool = False
 ) -> ExtractionResult:
     """Extraction from the rows that _float_rows read of a 3x3 matrix,
-    given the OrthogonalityReport that check_orthonormal made of it."""
+    given the OrthogonalityReport that _report made of them."""
     params, branch, residual = _floats._extract(rows, report, kind, refine)
     return ExtractionResult(np.array(params), branch, residual)
 
@@ -111,7 +110,7 @@ def extract_rotation(m, tol: float = DEFAULT_TOL, refine: bool = False) -> Extra
     InconsistentSystem if the ten equations disagree beyond tol.
     """
     rows = _float_rows(m, (3, 3), "mat3")
-    return _extract(rows, check_orthonormal(m, tol), IsometryKind.ROTATION, refine)
+    return _extract(rows, _report(rows, tol), IsometryKind.ROTATION, refine)
 
 
 def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) -> ExtractionResult:
@@ -122,7 +121,7 @@ def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) ->
     are those of the rotation -m, without negating m.
     """
     rows = _float_rows(m, (3, 3), "mat3")
-    return _extract(rows, check_orthonormal(m, tol), IsometryKind.ROTOREFLECTION, refine)
+    return _extract(rows, _report(rows, tol), IsometryKind.ROTOREFLECTION, refine)
 
 
 def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleReport:
@@ -140,7 +139,7 @@ def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleRepo
     """
     rows = _float_rows(m, (3, 3), "mat3")
     kind = _as_kind(kind)
-    return AngleReport(*_rotation_angle(rows, check_orthonormal(m, tol), kind))
+    return AngleReport(*_rotation_angle(rows, _report(rows, tol), kind))
 
 
 def embed_4d(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -151,7 +150,7 @@ def embed_4d(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> np.ndarray:
     that is neither."""
     rows = _float_rows(m, (3, 3), "mat3")
     kind = _as_kind(kind)
-    return np.array(_embed_4d(rows, check_orthonormal(m, tol), kind))
+    return np.array(_embed_4d(rows, _report(rows, tol), kind))
 
 
 def displaced_angle_cos(point, alpha: float, kind: IsometryKind) -> float:

@@ -1,8 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from quatrot import rot3, rot4
+from quatrot._floats import _gram, _gram_deviation
 from quatrot.errors import NonFiniteInput, ZeroMatrix
 from quatrot.linalg import (
+    _float_rows,
+    _report,
     as_mat3,
     as_mat4,
     as_vec4,
@@ -13,7 +21,7 @@ from quatrot.linalg import (
     rank1_factor,
 )
 from quatrot.quaternion import left_matrix, right_matrix
-from quatrot.rng import Xorshift64Star, random_unit_quaternion
+from quatrot.rng import Xorshift64Star, random_rotation, random_unit_quaternion
 
 
 def test_constructors_reject_nan_inf():
@@ -106,6 +114,69 @@ def test_rank1_factor_rejects_bad_tol():
                    (0.25 * np.eye(4), 5.0), (np.eye(4), 0.0)):
         with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
             rank1_factor(m, tol)
+
+
+# every public function that takes a tol, with a matrix it accepts
+_TOL_CALLS = {
+    "check_orthonormal": lambda tol: check_orthonormal(np.eye(3), tol),
+    "rank1_factor": lambda tol: rank1_factor(np.outer([1.0, 0, 0, 0], [0, 1.0, 0, 0]), tol),
+    "classify": lambda tol: rot3.classify(np.eye(3), tol),
+    "extract_rotation": lambda tol: rot3.extract_rotation(np.eye(3), tol),
+    "extract_rotoreflection": lambda tol: rot3.extract_rotoreflection(-np.eye(3), tol),
+    "rotation_angle": lambda tol: rot3.rotation_angle(np.eye(3), "rotation", tol),
+    "embed_4d": lambda tol: rot3.embed_4d(np.eye(3), "rotation", tol),
+    "decompose_4d": lambda tol: rot4.decompose_4d(np.eye(4), tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOL_CALLS))
+@pytest.mark.parametrize("tol", [None, "x", 1j, [1e-9], float("nan"), 0, 1], ids=repr)
+def test_tol_that_is_not_a_real_number_in_the_unit_interval_is_a_value_error(name, tol):
+    with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
+        _TOL_CALLS[name](tol)
+
+
+@pytest.mark.parametrize("name", sorted(_TOL_CALLS))
+def test_numpy_float_tol_is_accepted(name):
+    _TOL_CALLS[name](np.float32(1e-9))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def _gate_inputs(draw):
+    """A finite 3x3 or 4x4 matrix: an exact or noisy rotation, one of
+    signed zeros and ones, a rotation scaled to about 1e154 (where Gram
+    entries overflow and the deviation turns NaN), or any finite floats."""
+    n = draw(st.sampled_from((3, 4)))
+    m = random_rotation(draw(st.integers(0, 2**64 - 1)), n)
+    form = draw(st.sampled_from(("exact", "noisy", "signed_zeros", "huge", "any")))
+    if form == "noisy":
+        noise = draw(st.sampled_from((1e-15, 1e-12, 1e-9, 1e-6, 1e-3)))
+        unit = np.array(draw(st.lists(st.floats(-1, 1), min_size=n * n, max_size=n * n)))
+        m = m + noise * unit.reshape(n, n)
+    elif form == "signed_zeros":
+        m = np.array(draw(st.lists(st.sampled_from((0.0, -0.0, 1.0, -1.0)), min_size=n * n, max_size=n * n)))
+        m = m.reshape(n, n)
+    elif form == "huge":
+        m = m * draw(st.floats(1e153, 1e155))
+    elif form == "any":
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        m = np.array(draw(st.lists(finite, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return m, draw(st.sampled_from((1e-12, 1e-9, 1e-3, 0.5)))
+
+
+@given(_gate_inputs())
+def test_report_on_the_rows_is_check_orthonormal_bytes(case):
+    m, tol = case
+    n = len(m)
+    rows = _float_rows(m, (n, n), f"mat{n}")
+    assert [_bits(x) for x in _report(rows, tol)] == [_bits(x) for x in check_orthonormal(m, tol)]
+    # the upper triangle gives the full Gram matrix's max, NaN included
+    gram = _gram(rows)
+    assert _bits(_gram_deviation(gram)) == _bits(np.max(np.abs(np.array(gram) - np.eye(n))))
 
 
 def test_det_oracle_against_numpy():

@@ -511,3 +511,38 @@ def test_exact_turns_give_positive_zeros_and_the_batch_bytes(m):
     for params in got:
         assert params.tobytes() == batch.tobytes()
         assert all(math.copysign(1.0, x) == 1.0 for x in params if x == 0.0), params
+
+
+class _CountedArray:
+    """An array-like that counts how often numpy converts it."""
+
+    def __init__(self, a):
+        self.a = np.array(a, dtype=np.float64)
+        self.conversions = 0
+
+    def __array__(self, dtype=None, copy=None):
+        self.conversions += 1
+        return self.a if dtype is None else self.a.astype(dtype)
+
+
+_GATED = {
+    "classify": (classify, np.eye(3), ()),
+    "extract_rotation": (extract_rotation, Z_QUARTER, ()),
+    "extract_rotoreflection": (extract_rotoreflection, -Z_QUARTER, ()),
+    "rotation_angle": (rotation_angle, Z_QUARTER, ("rotation",)),
+    "embed_4d": (embed_4d, Z_QUARTER, ("rotation",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GATED))
+def test_gated_functions_convert_their_matrix_once_and_skip_mat_mul(name, monkeypatch):
+    """The gate checks the floats the function has read: no second
+    conversion, and no Gram matrix through the public mat_mul."""
+    def no_mat_mul(*args):
+        raise AssertionError("mat_mul called")
+
+    monkeypatch.setattr("quatrot.linalg.mat_mul", no_mat_mul)
+    fn, m, args = _GATED[name]
+    counted = _CountedArray(m)
+    assert repr(fn(counted, *args)) == repr(fn(m, *args))
+    assert counted.conversions == 1
