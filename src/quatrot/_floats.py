@@ -4,10 +4,14 @@ Every formula of the paper that the CLI needs is written once, here, on
 floats and nested lists of floats: the orthogonality gate (determinants,
 the row-by-column product, the Gram deviation), the rank-1 step, the
 sign rule, the quaternion norm and multiplication matrices, the
-Euler-Rodrigues entries, the a00 = +-1 embedding with the extract,
-angle and embed cores, the associate matrix's signed quarter-sums (which
-3D extraction reads on the embedding), the compose product, the
-reconstruction error and the seeded unit-quaternion draw. This module
+Euler-Rodrigues entries, the a00 = +-1 embedding with the extract and
+angle cores, the associate matrix's signed quarter-sums (which 3D
+extraction reads on the embedding), the 4D factor step, the compose
+product, the reconstruction error and the seeded unit-quaternion draw.
+Each matrix gets one verdict: ``_kind`` decides a 3x3 report (off the
+gate, indeterminate, or its kind) and ``_factor`` gates and factors a
+4x4 one for both ``rot4.decompose_4d`` and the CLI; the angle core and
+``_embedding`` trust the kind they are handed. This module
 imports only math, quatrot's errors, and enum, collections (whose
 ``namedtuple`` makes ``OrthogonalityReport``) and operator, which the
 CLI's json loads anyway: no numpy and no dataclasses, so ``python -m
@@ -147,15 +151,14 @@ def _orthogonality(rows, gram, tol: float) -> OrthogonalityReport:
     return OrthogonalityReport(_gram_deviation(gram), det, tol)
 
 
-def _require_orthonormal(report: OrthogonalityReport, error: type[QuatrotError]) -> OrthogonalityReport:
-    """The report, after raising ``error`` unless its Gram deviation is
-    within the tolerance it was made with: a NaN deviation (a Gram entry
-    overflowed) fails too."""
+def _require_orthonormal(report: OrthogonalityReport, error: type[QuatrotError]) -> None:
+    """Raise ``error`` unless the report's Gram deviation is within the
+    tolerance it was made with: a NaN deviation (a Gram entry overflowed)
+    fails too."""
     if not report.max_abs_gram_deviation <= report.tolerance_used:
         raise error(
             f"orthogonality deviation {report.max_abs_gram_deviation:.3e} > tol {report.tolerance_used:.3e}"
         )
-    return report
 
 
 # --- the sign rule and the rank-1 step ----------------------------------------
@@ -274,7 +277,11 @@ def _rotation_rows(q) -> list:
     return [list(e[0:3]), list(e[3:6]), list(e[6:9])]
 
 
-def _kind(report: OrthogonalityReport) -> IsometryKind:
+def _kind(report: OrthogonalityReport, error: type[QuatrotError] = NotOrthogonal) -> IsometryKind:
+    """The one verdict on a 3x3 matrix, from its report: ``error`` off the
+    gate, IndeterminateDeterminant for a determinant far from both +1 and
+    -1, else the kind its determinant's sign names."""
+    _require_orthonormal(report, error)
     tol = report.tolerance_used
     if abs(report.determinant - 1.0) <= tol:
         return IsometryKind.ROTATION
@@ -282,10 +289,6 @@ def _kind(report: OrthogonalityReport) -> IsometryKind:
         return IsometryKind.ROTOREFLECTION
     # reached only when a loose tol lets a non-orthogonal matrix through
     raise IndeterminateDeterminant(f"determinant {report.determinant!r} is far from both +1 and -1")
-
-
-def _classify(report: OrthogonalityReport) -> IsometryKind:
-    return _kind(_require_orthonormal(report, NotOrthogonal))
 
 
 def _as_kind(kind) -> IsometryKind:
@@ -297,8 +300,8 @@ def _as_kind(kind) -> IsometryKind:
 
 
 def _require_kind(report: OrthogonalityReport, kind: IsometryKind) -> None:
-    """Raise what _classify raises, or KindMismatch unless the matrix is of kind."""
-    if _classify(report) is not kind:
+    """Raise what _kind raises, or KindMismatch unless the matrix is of kind."""
+    if _kind(report) is not kind:
         raise KindMismatch(f"determinant {report.determinant!r} does not match kind {kind.value}")
 
 
@@ -335,16 +338,12 @@ _EXTRACT_ERRORS = {
 }
 
 
-# The cores below take the rows of a finite 3x3 matrix and the report
-# _orthogonality made of it, so a caller that needs several answers
-# about one matrix (the CLI) checks it once.
-
 def _extract(rows, report: OrthogonalityReport, kind: IsometryKind, refine: bool = False):
     """``rot3.extract_rotation`` (or ``extract_rotoreflection``) on floats:
-    (params, branch, residual)."""
+    (params, branch, residual), given the report _orthogonality made of
+    the finite 3x3 matrix with rows ``rows``."""
     error, other_kind = _EXTRACT_ERRORS[kind]
-    _require_orthonormal(report, error)
-    if _kind(report) is not kind:
+    if _kind(report, error) is not kind:
         raise error(other_kind)
     tol = report.tolerance_used
     table = _products(rows, kind)
@@ -365,9 +364,9 @@ def _extract(rows, report: OrthogonalityReport, kind: IsometryKind, refine: bool
     return q, BRANCHES[k], residual
 
 
-def _rotation_angle(rows, report: OrthogonalityReport, kind: IsometryKind) -> tuple:
-    """``rot3.rotation_angle`` on floats: (alpha, cos_alpha)."""
-    _require_kind(report, kind)
+def _rotation_angle(rows, kind: IsometryKind) -> tuple:
+    """(alpha, cos_alpha) of the 3x3 isometry of kind ``kind`` with rows
+    ``rows``: the caller has checked the matrix and its kind."""
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
     trace = m00 + m11 + m22
     if kind is IsometryKind.ROTATION:
@@ -377,12 +376,6 @@ def _rotation_angle(rows, report: OrthogonalityReport, kind: IsometryKind) -> tu
     cos_alpha = min(1.0, max(-1.0, cos_alpha))
     sin_alpha = math.hypot(m21 - m12, m02 - m20, m10 - m01) / 2.0
     return math.atan2(sin_alpha, cos_alpha), cos_alpha
-
-
-def _embed_4d(rows, report: OrthogonalityReport, kind: IsometryKind) -> list:
-    """``rot3.embed_4d`` on floats: rows of the 4x4 embedding."""
-    _require_kind(report, kind)
-    return _embedding(rows, kind)
 
 
 # --- 4D: associate matrix, compose and decompose --------------------------------
@@ -433,25 +426,26 @@ def _frobenius_distance(a, b) -> float:
     return math.sqrt(((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
-def _require_rotation4(report: OrthogonalityReport) -> None:
+def _factor(rows, report: OrthogonalityReport) -> tuple:
+    """(u, v, rank1_residual): the rank-1 factors of the associate matrix
+    of the finite 4x4 matrix with rows ``rows``, given its report.
+    NotARotation off the gate or for a determinant not +1, RankDeficiency
+    for a residual above tol. ``rot4.decompose_4d`` and ``_decompose``
+    both call it."""
+    tol = report.tolerance_used
     _require_orthonormal(report, NotARotation)
-    if abs(report.determinant - 1.0) > report.tolerance_used:
+    if abs(report.determinant - 1.0) > tol:
         raise NotARotation(f"determinant {report.determinant!r} is not +1")
-
-
-def _require_rank1(residual: float, tol: float) -> None:
+    u, v, residual = _rank1(_associate(rows), tol)
     if residual > tol:
         raise RankDeficiency(f"rank-1 residual {residual:.3e} > tol {tol:.3e}")
+    return u, v, residual
 
 
 def _decompose(rows, report: OrthogonalityReport) -> tuple:
     """``rot4.decompose_4d`` of the finite 4x4 matrix with rows ``rows``,
-    given its report: (left, right, rank1_residual, reconstruction_error).
-    ``rot4.decompose_4d`` takes the same steps through the public functions."""
-    tol = report.tolerance_used
-    _require_rotation4(report)
-    u, v, residual = _rank1(_associate(rows), tol)
-    _require_rank1(residual, tol)
+    given its report: (left, right, rank1_residual, reconstruction_error)."""
+    u, v, residual = _factor(rows, report)
     return u, v, residual, _frobenius_distance(rows, _compose(_unit(u), _unit(v)))
 
 

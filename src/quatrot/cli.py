@@ -16,7 +16,8 @@ strings and booleans are numbers, JSON null is NaN), rejects non-finite
 entries with ``math.isfinite``, and calls the float cores of
 ``_floats``, which the public functions of rot3, rot4 and rng wrap, so
 it prints their bits and raises their errors. A matrix command checks
-its matrix once (``_checked``) and hands the one report to the cores.
+its matrix once (``_checked``), decides its kind once from that report
+(``_floats._kind``) and hands the report and the kind to the cores.
 --tol must lie in (0, 1).
 
 The command line has a fixed grammar: one command and the six
@@ -210,12 +211,7 @@ def _checked(args, text, dim=None):
 
 def _cmd_mat2quat(args, text):
     m, report = _checked(args, text, 3)
-    if args.kind == "rotation":
-        kind = IsometryKind.ROTATION
-    elif args.kind == "rotoreflection":
-        kind = IsometryKind.ROTOREFLECTION
-    else:
-        kind = _floats._kind(_floats._require_orthonormal(report, NotARotation))
+    kind = _floats._kind(report, NotARotation) if args.kind == "auto" else IsometryKind(args.kind)
     params, branch, residual = _floats._extract(m, report, kind)
     return {
         "quaternion": _quat_obj(params),
@@ -244,20 +240,20 @@ def _cmd_compose4(args, text):
 
 def _cmd_classify(args, text):
     _, report = _checked(args, text, 3)
-    return {"kind": _floats._classify(report).value, "det": report.determinant}
+    return {"kind": _floats._kind(report).value, "det": report.determinant}
 
 
 def _cmd_angle(args, text):
     m, report = _checked(args, text, 3)
-    kind = _floats._classify(report)
-    alpha, cos_alpha = _floats._rotation_angle(m, report, kind)
+    kind = _floats._kind(report)
+    alpha, cos_alpha = _floats._rotation_angle(m, kind)
     return {"kind": kind.value, "alpha": alpha, "cos_alpha": cos_alpha}
 
 
 def _cmd_embed(args, text):
     m, report = _checked(args, text, 3)
-    kind = _floats._classify(report)
-    return {"kind": kind.value, "matrix": _floats._embed_4d(m, report, kind)}
+    kind = _floats._kind(report)
+    return {"kind": kind.value, "matrix": _floats._embedding(m, kind)}
 
 
 def _cmd_random(args, text):
@@ -276,9 +272,9 @@ def _cmd_random(args, text):
 def _cmd_verify(args, text):
     m, report = _checked(args, text)
     if len(m) == 3:
-        kind = _floats._classify(report)
+        kind = _floats._kind(report)
         _, branch, residual = _floats._extract(m, report, kind)
-        alpha, _ = _floats._rotation_angle(m, report, kind)
+        alpha, _ = _floats._rotation_angle(m, kind)
         ok = report.max_abs_gram_deviation <= args.tol and residual <= args.tol
         return {
             "dim": 3,

@@ -11,13 +11,15 @@ global sign, and their mutual consistency doubles as a certificate that
 the input really is a rotation matrix.
 
 The Euler-Rodrigues entries (``_er_entries``), the product table
-(``_products``) and the extract, angle and embed cores are written once,
-in ``_floats``, on Python floats. The functions here read their matrix
-once as floats (``linalg._float_rows``), check those floats once
-(``linalg._report``), call those cores and wrap the results in numpy
-arrays; ``kernels`` evaluates the same row formulas on the component
-rows of its blocks, so both paths give the same bits, and the CLI calls
-the cores without numpy. ``IsometryKind`` is ``_floats``' own class.
+(``_products``), the extract and angle cores and the embedding are
+written once, in ``_floats``, on Python floats. The functions here read
+their matrix once as floats (``linalg._float_rows``), check those floats
+once (``linalg._report``), reach one verdict on the report (``_kind``,
+or ``_require_kind`` for a requested kind), call those cores and wrap
+the results in numpy arrays; ``kernels`` evaluates the same row formulas
+on the component rows of its blocks, so both paths give the same bits,
+and the CLI calls the cores without numpy. ``IsometryKind`` is
+``_floats``' own class.
 
 Kind detection is purely the determinant sign: +1 rotation, -1
 rotoreflection. Angles come from the trace: trace = 2 cos(alpha) + 1 for
@@ -40,8 +42,9 @@ from ._floats import (
     IsometryKind,
     OrthogonalityReport,
     _as_kind,
-    _classify,
-    _embed_4d,
+    _embedding,
+    _kind,
+    _require_kind,
     _rotation_angle,
     _rotation_rows,
 )
@@ -84,7 +87,7 @@ def rotoreflection_matrix(q) -> np.ndarray:
 
 def classify(m, tol: float = DEFAULT_TOL) -> IsometryKind:
     """Rotation or rotoreflection, by the determinant of an orthogonal m."""
-    return _classify(_report(_float_rows(m, (3, 3), "mat3"), tol))
+    return _kind(_report(_float_rows(m, (3, 3), "mat3"), tol))
 
 
 def _extract(
@@ -139,7 +142,8 @@ def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleRepo
     """
     rows = _float_rows(m, (3, 3), "mat3")
     kind = _as_kind(kind)
-    return AngleReport(*_rotation_angle(rows, _report(rows, tol), kind))
+    _require_kind(_report(rows, tol), kind)
+    return AngleReport(*_rotation_angle(rows, kind))
 
 
 def embed_4d(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -150,7 +154,8 @@ def embed_4d(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> np.ndarray:
     that is neither."""
     rows = _float_rows(m, (3, 3), "mat3")
     kind = _as_kind(kind)
-    return np.array(_embed_4d(rows, _report(rows, tol), kind))
+    _require_kind(_report(rows, tol), kind)
+    return np.array(_embedding(rows, kind))
 
 
 def displaced_angle_cos(point, alpha: float, kind: IsometryKind) -> float:
@@ -165,11 +170,15 @@ def displaced_angle_cos(point, alpha: float, kind: IsometryKind) -> float:
     largest |component| lies in [0.5, 1): the squares cannot overflow or
     all underflow, so only the origin raises OriginPoint. Raises
     NonFiniteInput for a point that is not three numbers, a NaN or inf
-    component or alpha, KindMismatch for a kind that is neither an
-    IsometryKind nor its value.
+    component, or an alpha that is not a finite real number; KindMismatch
+    for a kind that is neither an IsometryKind nor its value.
     """
     x, y, z = _float_rows(point, (3,), "point")
-    if not math.isfinite(alpha):
+    try:
+        finite = math.isfinite(alpha)
+    except (TypeError, OverflowError):  # not a real number, or an int past the floats
+        finite = False
+    if not finite:
         raise NonFiniteInput(f"alpha must be finite, got {alpha!r}")
     kind = _as_kind(kind)
     largest = max(abs(x), abs(y), abs(z))

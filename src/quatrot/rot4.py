@@ -6,8 +6,9 @@ bridge between A and the pair is its associate matrix: the 4x4 array of
 quarter-sums of signed entries of A, which equals the outer product of
 L's components with R's components whenever A is a genuine rotation (it
 then has rank 1 and unit Frobenius norm). Decomposition is therefore:
-associate matrix -> rank-1 factorization (``linalg.rank1_factor``), whose
-unit, sign-canonical factors are (L, R), unique up to that common sign.
+associate matrix -> rank-1 factorization (the steps of
+``linalg.rank1_factor``), whose unit, sign-canonical factors are (L, R),
+unique up to that common sign.
 
 The associate map is linear: on the 16 entries it is 0.25 S for a +-1
 matrix S with S^T S = 4 I. So S/2 is orthogonal and the map halves every
@@ -17,13 +18,14 @@ l r^T, so for any 4x4 A and quaternions l, r
 which lets ``kernels.batch_decompose_4d`` measure its reconstruction
 error without recomposing.
 
-The associate entries, the compose product and the reconstruction
-error are written once, in ``_floats``, on Python floats; the functions
-here read each argument once as floats (``linalg._float_rows``), call
-them and return numpy arrays. ``decompose_4d`` keeps its calls of the
-public ``check_orthonormal``, ``rank1_factor`` and ``compose_4d`` (each
-calls ``mat_mul`` or the cores), and the CLI runs the same cores through
-``_floats._decompose`` without numpy.
+The associate entries, the 4D factor step (``_factor``: the gate's
+verdict, the associate matrix and the rank-1 step), the compose product
+and the reconstruction error are written once, in ``_floats``, on Python
+floats; the functions here read each argument once as floats
+(``linalg._float_rows``), call them and return numpy arrays.
+``decompose_4d`` and the CLI's ``_floats._decompose`` share ``_factor``;
+``decompose_4d`` still gates through the public ``check_orthonormal``
+and recomposes through ``compose_4d``, each of which calls ``mat_mul``.
 """
 
 from __future__ import annotations
@@ -32,17 +34,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._floats import (
-    DEFAULT_TOL,
-    _associate,
-    _frobenius_distance,
-    _left_rows,
-    _require_rank1,
-    _require_rotation4,
-    _right_rows,
-    _unit,
-)
-from .linalg import _float_rows, check_orthonormal, mat_mul, rank1_factor
+from ._floats import DEFAULT_TOL, _associate, _factor, _frobenius_distance, _left_rows, _right_rows, _unit
+from .linalg import _float_rows, check_orthonormal, mat_mul
 
 
 class QuatPairDecomposition(
@@ -81,12 +74,9 @@ def decompose_4d(a, tol: float = DEFAULT_TOL) -> QuatPairDecomposition:
     Raises NotARotation when the input fails the orthogonality gate or has
     determinant -1 (4D rotoreflections are out of scope), RankDeficiency
     when the associate matrix is not rank 1 within tol (an input that
-    sneaked past the orthogonality gate but is not a rotation). The steps
-    of ``_floats._decompose``, through the public functions.
+    sneaked past the orthogonality gate but is not a rotation).
     """
     rows = _float_rows(a, (4, 4), "mat4")
-    _require_rotation4(check_orthonormal(a, tol))
-    u, v, residual = rank1_factor(associate_matrix(a), tol)
-    _require_rank1(residual, tol)
+    u, v, residual = _factor(rows, check_orthonormal(a, tol))
     err = _frobenius_distance(rows, compose_4d(u, v).tolist())
-    return QuatPairDecomposition(u, v, residual, err)
+    return QuatPairDecomposition(np.array(u), np.array(v), residual, err)

@@ -3,6 +3,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cli_cases import GOLDEN_CASES, GOLDEN_DIR
-from quatrot import _floats, cli, linalg
+from cli_cases import GOLDEN_CASES, GOLDEN_DIR, cli_outcome
+from quatrot import _floats, cli, linalg, rot3
+from quatrot.errors import QuatrotError
+from quatrot.rot3 import IsometryKind
 from quatrot.cli import main
 
 def run_cli(args, stdin_text="", monkeypatch=None, capsys=None):
@@ -521,3 +524,58 @@ def test_each_matrix_command_checks_orthogonality_once(args, matrix, monkeypatch
     assert len(calls) == 1
     linalg.check_orthonormal(matrix)
     assert len(calls) == 2
+
+
+# --- the gate's edge: the library and the CLI reach one verdict ---------------
+
+def _library_outcome(call, payload):
+    """cli_outcome's form of what the CLI prints for ``payload(call())``,
+    or of the error that call raises."""
+    try:
+        result = call()
+    except QuatrotError as exc:
+        return ["cli", 3, "", cli.dump_json({"error": exc.code, "detail": str(exc)}) + "\n"]
+    return ["cli", 0, cli.dump_json(payload(result)) + "\n", ""]
+
+
+def _extraction(kind):
+    return lambda res: {
+        "quaternion": dict(zip("wxyz", res.params.tolist())), "residual": res.residual, "branch": res.branch,
+        "kind": kind.value,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda q: math.hypot(*q) > 0.1),
+    flip=st.booleans(),
+    squeeze=st.booleans(),
+    log_tol=st.floats(math.log(1e-12), math.log(0.5)),
+    ratio=st.one_of(st.floats(0.9, 0.99), st.floats(1.01, 1.1)),
+)
+def test_the_library_and_the_cli_give_one_verdict_at_the_gates_edge(q, flip, squeeze, log_tol, ratio):
+    """s R, or R diag(s, 1/s, 1) whose determinant stays 1, and their
+    negations, with s = 1 + eps and a Gram deviation 2 eps + eps^2 just
+    below or just above tol: each gated rot3 function and its CLI command
+    print the same 17 digits or the same error. Below tol, s R is off both
+    determinant windows and the squeezed R passes."""
+    tol = math.exp(log_tol)
+    deviation = ratio * tol
+    scale = 1.0 + deviation / (1.0 + math.sqrt(1.0 + deviation))  # 2 eps + eps^2 = deviation
+    kind = IsometryKind.ROTOREFLECTION if flip else IsometryKind.ROTATION
+    r = rot3.euler_rodrigues(np.array(q) / np.linalg.norm(q))
+    r = r @ np.diag([scale, 1.0 / scale, 1.0]) if squeeze else scale * r
+    m = -r if flip else r
+    assert linalg.check_orthonormal(m, tol).is_orthonormal == (ratio < 1.0)
+    cases = [
+        (["classify"], lambda: rot3.classify(m, tol), lambda k: {"kind": k.value, "det": linalg.det3(m)}),
+        (["mat2quat", "--kind", "rotation"], lambda: rot3.extract_rotation(m, tol), _extraction(IsometryKind.ROTATION)),
+        (["mat2quat", "--kind", "rotoreflection"], lambda: rot3.extract_rotoreflection(m, tol),
+         _extraction(IsometryKind.ROTOREFLECTION)),
+        (["angle"], lambda: rot3.rotation_angle(m, kind, tol),
+         lambda a: {"kind": kind.value, "alpha": a.alpha, "cos_alpha": a.cos_alpha}),
+        (["embed"], lambda: rot3.embed_4d(m, kind, tol), lambda e: {"kind": kind.value, "matrix": e.tolist()}),
+    ]
+    stdin = json.dumps({"matrix": m.tolist()})
+    for argv, call, payload in cases:
+        assert cli_outcome([*argv, "--tol", repr(tol)], stdin) == _library_outcome(call, payload), argv

@@ -395,6 +395,11 @@ def test_displaced_angle_origin_rejected():
         ((0.0, 0.0, -math.inf), 1.0),
         ((1.0, 0.0, 0.0), math.nan),
         ((1.0, 0.0, 0.0), math.inf),
+        # an alpha that is not a real number, or an int too large for a float
+        ((1.0, 0.0, 0.0), "a"),
+        ((1.0, 0.0, 0.0), None),
+        ((1.0, 0.0, 0.0), 1j),
+        pytest.param((1.0, 0.0, 0.0), 10**400, id="huge-int"),
     ],
 )
 def test_displaced_angle_rejects_non_finite_input(point, alpha):

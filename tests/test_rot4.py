@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-import quatrot.rot4
+import quatrot._floats
+from cli_cases import cli_outcome
 from quatrot.errors import NotARotation, RankDeficiency
 from quatrot.linalg import mat_mul, rank1_factor
 from quatrot.quaternion import left_matrix, right_matrix
@@ -163,10 +165,13 @@ def test_decompose_rejects_an_overflowing_gram_matrix():
 
 def test_rank_deficiency_is_surfaced(monkeypatch):
     # {orthogonal, det +1} implies rank-1 associate, so this gate is
-    # defensive; force a fat residual to check it trips
+    # defensive; force a fat residual to check it trips in _floats._factor,
+    # for decompose_4d and for the CLI's decompose4 alike
     def fake_rank1(m, tol):
-        return np.array([1.0, 0, 0, 0]), np.array([1.0, 0, 0, 0]), 1.0
+        return (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), 1.0
 
-    monkeypatch.setattr(quatrot.rot4, "rank1_factor", fake_rank1)
-    with pytest.raises(RankDeficiency):
+    monkeypatch.setattr(quatrot._floats, "_rank1", fake_rank1)
+    with pytest.raises(RankDeficiency, match=r"^rank-1 residual 1\.000e\+00 > tol 1\.000e-09$"):
         decompose_4d(np.eye(4))
+    err = '{"error":"rank_deficiency","detail":"rank-1 residual 1.000e+00 > tol 1.000e-09"}\n'
+    assert cli_outcome(["decompose4"], json.dumps({"matrix": np.eye(4).tolist()})) == ["cli", 3, "", err]
