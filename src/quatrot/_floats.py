@@ -11,15 +11,16 @@ product, the reconstruction error and the seeded unit-quaternion draw.
 Each matrix gets one verdict: ``_kind`` decides a 3x3 report (off the
 gate, indeterminate, or its kind) and ``_factor`` gates and factors a
 4x4 one for both ``rot4.decompose_4d`` and the CLI; the angle core and
-``_embedding`` trust the kind they are handed. This module
-imports only math, quatrot's errors, and enum, collections (whose
-``namedtuple`` makes ``OrthogonalityReport``) and operator, which the
-CLI's json loads anyway: no numpy and no dataclasses, so ``python -m
-quatrot`` runs on it alone. The public functions of ``linalg``,
-``quaternion``, ``rot3``, ``rot4`` and ``rng`` validate their arguments,
-call these cores on ``ndarray.tolist()`` values and return ``np.array``
-of the result; ``kernels`` evaluates the row formulas (``_er_entries``,
-``_products``, ``_ordered_sum``) on the component rows of its blocks.
+``_embedding`` trust the kind they are handed. This module imports only
+math, quatrot's errors, and enum, collections (whose ``namedtuple``
+makes ``OrthogonalityReport``), functools and operator, which the CLI's
+json loads anyway: no numpy and no dataclasses, so ``python -m quatrot``
+runs on it alone. The public functions of ``linalg``, ``quaternion``,
+``rot3``, ``rot4`` and ``rng`` validate their arguments, call these cores
+on ``ndarray.tolist()`` values and return ``np.array`` of the result;
+``kernels`` runs the row formulas (``_er_entries``, ``_products``,
+``_ordered_sum``) and the policies (the tie rule ``_first_max``, the
+sign rule ``_sign``, the solve ``_solve``) on its blocks' component rows.
 
 The summation order is fixed, so results are bit-stable and equal to
 the numpy code these cores replaced: determinants are cofactor
@@ -36,6 +37,7 @@ floats with compensation, which gives other bits.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from collections import namedtuple
@@ -58,8 +60,8 @@ DEFAULT_TOL = 1e-9
 
 # Quaternions, quaternion pairs and rank-1 factors are defined up to a
 # global sign; the representative has its first component with magnitude
-# above SIGN_EPS positive. kernels._signs applies the same rule to each
-# column of a component-major block.
+# above SIGN_EPS positive. _sign is that rule, on floats and, with
+# np.where, on each column of a kernels block.
 SIGN_EPS = 1e-12
 
 UNIT_WINDOW = 1e-6
@@ -163,14 +165,45 @@ def _require_orthonormal(report: OrthogonalityReport, error: type[QuatrotError])
 
 # --- the sign rule and the rank-1 step ----------------------------------------
 
+class _Floats:
+    """numpy's ``where``, ``sqrt`` and ``maximum`` on Python floats: the
+    policies run on floats with these, and in ``kernels`` with numpy's."""
+
+    @staticmethod
+    def where(take, a, b):
+        return a if take else b
+
+    sqrt, maximum = math.sqrt, max
+
+
+def _first_max(keys, rows, where=_Floats.where) -> tuple:
+    """(index, key, row): index is the first i with the largest keys[i]
+    (strict >, as max(range(k), key=keys.__getitem__): ties go to the lower
+    index, NaN only at index 0), and row is rows[index]; per column on arrays."""
+    index, key, row = 0, keys[0], rows[0]
+    for i in range(1, len(keys)):
+        take = keys[i] > key
+        index = where(take, i, index)
+        key = where(take, keys[i], key)
+        row = where(take, rows[i], row)
+    return index, key, row
+
+
+def _sign(q, where=_Floats.where):
+    """``canonical_sign`` of q, per column on arrays: scanning back from the
+    last component, lead ends as the first one with magnitude above
+    SIGN_EPS, or the last one when none is."""
+    lead = q[-1]
+    for comp in q[-2::-1]:
+        lead = where(abs(comp) > SIGN_EPS, comp, lead)
+    return where(lead < -SIGN_EPS, -1.0, 1.0)
+
+
 def canonical_sign(q) -> float:
     """+1.0 or -1.0: the factor that makes the first component of q with
     magnitude above SIGN_EPS positive (scanning in index order); +1.0
     when no component is that large."""
-    for comp in q:
-        if abs(comp) > SIGN_EPS:
-            return -1.0 if comp < 0.0 else 1.0
-    return 1.0
+    return _sign(q)
 
 
 def _ordered_sum(terms):
@@ -202,11 +235,11 @@ def _rank1(rows, tol: float):
         # squares of entries above about 1.3e154 overflow: the seed
         # column's norm is inf, and normalising it gives zeros
         raise NonFiniteInput(f"Frobenius norm overflows to {scale}: entries too large to square")
-    u = _normalized(*cols[max(range(4), key=squares.__getitem__)])
+    u = _normalized(*_first_max(squares, cols)[2])
     v = _normalized(_dot(c0, u), _dot(c1, u), _dot(c2, u), _dot(c3, u))
     u = _normalized(_dot(rows[0], v), _dot(rows[1], v), _dot(rows[2], v), _dot(rows[3], v))
     v = _normalized(_dot(c0, u), _dot(c1, u), _dot(c2, u), _dot(c3, u))
-    sign = canonical_sign(u)
+    sign = _sign(u)
     u = (u[0] * sign, u[1] * sign, u[2] * sign, u[3] * sign)
     v0, v1, v2, v3 = v = (v[0] * sign, v[1] * sign, v[2] * sign, v[3] * sign)
     # 0.0 + a square is that square, so the 16 add as one left-to-right chain
@@ -325,10 +358,23 @@ def _products(rows, kind: IsometryKind) -> list:
     return [[0.0 - p0, 0.0 + p1, 0.0 + p2, 0.0 + p3] for p0, p1, p2, p3 in assoc]
 
 
-def _residual(table, q) -> float:
+def _residual(table, q, maximum=max):
     """The largest |q_i q_j - table[i][j]|: the ten equations, each
     off-diagonal one met twice."""
-    return max(abs(qi * qj - t) for qi, row in zip(q, table) for qj, t in zip(q, row))
+    terms = [abs(qi * qj - t) for qi, row in zip(q, table) for qj, t in zip(q, row)]
+    return functools.reduce(maximum, terms)
+
+
+def _solve(table, xp=_Floats) -> tuple:
+    """(branch, q, residual) from the table of products q_i q_j: seed from
+    the largest square, divide its row by the seed, apply the sign rule and
+    measure the ten equations; ``xp`` is numpy on a block's component rows."""
+    branch, square, row = _first_max([table[i][i] for i in range(4)], table, xp.where)
+    seed = xp.sqrt(xp.maximum(square, 0.0))
+    q = [xp.where(i == branch, seed, t / seed) for i, t in enumerate(row)]
+    sign = _sign(q, xp.where)
+    q = [c * sign for c in q]
+    return branch, q, _residual(table, q, xp.maximum)
 
 
 # What each kind's extractor raises, and its message for the other kind.
@@ -347,17 +393,9 @@ def _extract(rows, report: OrthogonalityReport, kind: IsometryKind, refine: bool
         raise error(other_kind)
     tol = report.tolerance_used
     table = _products(rows, kind)
-
-    k = max(range(4), key=lambda i: table[i][i])
-    seed = math.sqrt(max(table[k][k], 0.0))
-    q = [t / seed for t in table[k]]
-    q[k] = seed
-
-    residual = _residual(table, q)
+    k, q, residual = _solve(table)
     if residual > tol:
         raise InconsistentSystem(f"ten-equation residual {residual:.3e} > tol {tol:.3e}")
-    sign = canonical_sign(q)
-    q = [c * sign for c in q]
     if refine:
         q = _unit(q)
         residual = _residual(table, q)

@@ -24,11 +24,14 @@ entries of associate and compose that do not sum it become NaN (0 * inf).
 Other rows are not affected. The block contract holds for these three
 only on OpenBLAS's AVX-512 kernels (see ``_ASSOC``).
 
-The two 3D kernels evaluate the scalar API's formulas, not copies of
-them: Euler-Rodrigues evaluates ``_floats._er_entries`` on the block's
-component rows, and extract reads its table of products q_i q_j with
-``_floats._products``, the associate formula on the a00 = +1 embedding
-of those rows (the border is Python floats, so no border rows are built).
+The two 3D kernels evaluate the scalar API's formulas and policies, not
+copies of them: Euler-Rodrigues evaluates ``_floats._er_entries`` on the
+block's component rows; extract reads its table of products q_i q_j with
+``_floats._products`` (the associate formula on the a00 = +1 embedding,
+whose border is Python floats) and takes the seed, the sign and the
+residual from ``_floats._solve`` given numpy. Decompose keeps only its
+power steps: its seed column and sign come from ``_floats._first_max``
+and ``_floats._sign`` with np.where.
 
 Component-major blocks: decompose, extract and Euler-Rodrigues transpose
 their block once into a contiguous (k, b) array, row i holding component
@@ -37,14 +40,14 @@ transposed once. Every step in between is elementwise arithmetic on
 length-b rows: norms, matrix-vector products and Frobenius sums add
 their terms over the leading axis in index order (``_ordered_sum``), and
 the seed choices take the first largest entry by strict ``>`` selection
-(``_first_max``), which is how np.argmax and the scalar ``max(range(k))``
+(``_floats._first_max``), as np.argmax and ``max(range(k), key=...)``
 break ties. numpy's ``sum`` and ``einsum`` are avoided on purpose: a
 contiguous ``sum`` of eight or more terms is pairwise, so with b = 1 it
 adds in another order than with b > 1, and einsum's order varied with
-the block length; either would break the block contract. Ties and NaN:
-np.argmax takes NaN as the largest entry, while ``>`` never selects it,
-so the branch extract reports for a row with NaN squares may differ
-from an argmax's.
+the block length; either would break the block contract. NaN: ``>``
+never selects NaN after the first key, on floats as on rows, while
+np.argmax takes NaN as the largest, so for a row with NaN squares the
+branch may differ from an argmax's.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _floats
-from ._floats import SIGN_EPS, IsometryKind, _ordered_sum
+from ._floats import IsometryKind, _ordered_sum
 
 # Rows per block. One (b, 4, 4) float64 temporary is then 512 KiB, so a
 # block's working set stays in a 2 MiB per-core L2 instead of streaming
@@ -69,8 +72,6 @@ _BLOCK = 4096
 # change with the row count (3, 5, 7, 9, 17, 33 rows differ; 1, 2, 4, 8 agree).
 _ASSOC = np.array([_floats._associate(e.reshape(4, 4).tolist()) for e in np.eye(16)]).reshape(16, 16)
 _COMPOSE = np.ascontiguousarray(4.0 * _ASSOC.T)
-
-_COMPONENTS = np.arange(4)[:, None]
 
 
 def _blocked(kernel, inputs: tuple, outputs: tuple) -> tuple:
@@ -94,33 +95,6 @@ def _unit(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(_ordered_sum(x * x))
 
 
-def _first_max(keys: np.ndarray, rows) -> tuple:
-    """(index, key, row) per column: index is the first i whose keys[i] is
-    largest in that column (strict >, so ties go to the lower index, as
-    np.argmax and max(range(k), key=...) pick), and row is rows[i]'s column
-    there."""
-    index = np.zeros(keys.shape[1], dtype=np.int64)
-    key, row = keys[0], rows[0]
-    for i in range(1, len(keys)):
-        take = keys[i] > key
-        index = np.where(take, i, index)
-        key = np.where(take, keys[i], key)
-        row = np.where(take, rows[i], row)
-    return index, key, row
-
-
-def _signs(q: np.ndarray) -> np.ndarray:
-    """Per-column ``linalg.canonical_sign`` of a component-major (4, b)
-    block: the sign that makes the first component with magnitude above
-    SIGN_EPS positive. Scanning from the last component back, lead ends as
-    the first such component, or the last component when none is."""
-    big = np.abs(q) > SIGN_EPS
-    lead = q[-1]
-    for i in range(len(q) - 2, -1, -1):
-        lead = np.where(big[i], q[i], lead)
-    return np.where(lead < -SIGN_EPS, -1.0, 1.0)
-
-
 def _euler_rodrigues(q: np.ndarray, out: np.ndarray) -> None:
     out.reshape(-1, 9)[:] = np.array(_floats._er_entries(*_component_major(q))).T
 
@@ -132,23 +106,9 @@ def batch_euler_rodrigues(q: np.ndarray) -> np.ndarray:
 
 
 def _extract_rotation(m, q_out, branch_out, residual_out) -> None:
-    rows = _component_major(m).reshape(3, 3, -1)
-    t = np.array(_floats._products(rows, IsometryKind.ROTATION))  # t[i, j] is q_i q_j
-
-    # Seed from the largest square; the other components are its row of
-    # the table divided by the seed.
-    branch, square, row = _first_max(t.diagonal().T, t)
-    seed = np.sqrt(np.maximum(square, 0.0))
-    q = row / seed
-    np.copyto(q, seed, where=_COMPONENTS == branch)
-
-    # |q_i q_j - t[i, j]| in one (4, 4, b) temporary: each fresh one of
-    # that size costs page faults, and reducing over two axes is slow
-    d = q[:, None] * q
-    d -= t
-    residual_out[:] = np.abs(d, out=d).reshape(16, -1).max(axis=0)
-    q *= _signs(q)
-    q_out[:] = q.T
+    table = _floats._products(_component_major(m).reshape(3, 3, -1), IsometryKind.ROTATION)
+    branch, q, residual_out[:] = _floats._solve(table, np)
+    q_out[:] = np.array(q).T
     branch_out[:] = branch
 
 
@@ -191,12 +151,12 @@ def _decompose_4d(a, u_out, v_out, rank1_out, recon_out) -> None:
     m = _component_major(assoc).reshape(4, 4, -1)  # m[i, j] is entry (i, j)
     col_squares = _ordered_sum(m * m)
     scale = np.sqrt(_ordered_sum(col_squares))
-    _, _, u = _first_max(col_squares, m.transpose(1, 0, 2))  # seed: a column of m
+    _, _, u = _floats._first_max(col_squares, m.transpose(1, 0, 2), np.where)  # seed: a column of m
     u = _unit(u)
     v = _ordered_sum(m * u[:, None])  # v_j = sum_i m_ij u_i
     u = _unit(_ordered_sum((m * _unit(v)).transpose(1, 0, 2)))  # u_i = sum_j m_ij v_j
     v = _unit(_ordered_sum(m * u[:, None]))
-    sign = _signs(u)
+    sign = _floats._sign(u, np.where)
     u *= sign
     v *= sign
     # m becomes d = assoc(a) - u v^T: ||a - compose(u, v)||_F = 2 ||d||_F

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import quatrot.kernels as kernels
+from quatrot import _floats
 from quatrot.linalg import SIGN_EPS, canonical_sign, rank1_factor
 from quatrot.quaternion import as_unit
 from quatrot.rng import Xorshift64Star, random_unit_quaternion
@@ -324,11 +325,36 @@ _ZERO_ROWS = st.sampled_from([[0.0] * 4, [-0.0] * 4])
 def test_sign_rule_scalar_batch_and_reference_agree(rows):
     assert SIGN_EPS == 1e-12
     q = np.array(rows, dtype=np.float64)
-    batch = kernels._signs(q.T)
+    batch = _floats._sign(q.T, np.where)
     for row, got in zip(q, batch):
         expected = _reference_sign(row)
         assert canonical_sign(row) == expected
         assert got == expected
+
+
+_LEADS = st.sampled_from(_EDGES + [-x for x in _EDGES])
+
+
+@st.composite
+def _edge_quaternions(draw):
+    """A unit quaternion whose first one or two components are sign-scan
+    edges (a half turn when w = 0), the rest scaled onto the unit sphere."""
+    leads = draw(st.lists(_LEADS, min_size=1, max_size=2))
+    rest = draw(st.lists(st.floats(-1.0, 1.0), min_size=4 - len(leads), max_size=4 - len(leads)))
+    rest = np.array(rest)
+    norm = np.linalg.norm(rest)
+    if norm < 1e-3:
+        rest, norm = np.ones_like(rest), math.sqrt(len(rest))
+    rest *= math.sqrt(1.0 - sum(x * x for x in leads)) / norm
+    return [*leads, *rest]
+
+
+@given(st.lists(_edge_quaternions(), min_size=1, max_size=8))
+@example([[0.0, 1e-12, 0.6, 0.8], [-1e-12, -5e-10, 0.8, -0.6], [0.0, 0.0, 0.0, 1.0]])
+def test_extract_at_the_sign_scan_edges_matches_scalar(quats):
+    """Leading components at the sign rule's edges decide the sign of the
+    extracted row on both paths alike."""
+    _assert_extract_bytes_match_scalar(kernels.batch_euler_rodrigues(np.array(quats)))
 
 
 def test_extract_ties_go_to_the_first_branch(block_stack):
@@ -358,7 +384,7 @@ def test_decompose_ties_go_to_the_first_column():
     col_squares = np.sum(m * m, axis=0)
     assert col_squares[0] == col_squares[1] == col_squares.max()
     comp = kernels._component_major(m[None]).reshape(4, 4, 1)
-    index, _, seed = kernels._first_max(col_squares[:, None], comp.transpose(1, 0, 2))
+    index, _, seed = _floats._first_max(col_squares[:, None], comp.transpose(1, 0, 2), np.where)
     assert index[0] == 0
     assert seed[:, 0].tobytes() == m[:, 0].tobytes()
     u, v, rank1, recon = kernels.batch_decompose_4d(a[None])
@@ -369,19 +395,33 @@ def test_decompose_ties_go_to_the_first_column():
     assert abs(recon[0] - dec.reconstruction_error) <= 2e-15
 
 
-# Few distinct keys, so ties are common.
-_KEYS = arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 6)), elements=st.sampled_from([-1.0, 0.0, 0.5, 2.0]))
+# Few distinct keys, so ties are common; `>` never picks a NaN key.
+_KEYS = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 5), st.integers(1, 6)),
+    elements=st.sampled_from([-1.0, 0.0, 0.5, 2.0, math.nan]),
+)
 
 
 @given(_KEYS)
 def test_first_max_is_argmax_with_the_row_it_picks(keys):
+    """The one pick, on arrays and on each column's Python floats, is the
+    ``max(range(k), key=...)`` the scalar cores used; without NaN it is
+    also np.argmax, which takes NaN as the largest."""
     rows = np.arange(keys.size * 3, dtype=np.float64).reshape(len(keys), 3, -1)
-    index, key, row = kernels._first_max(keys, rows)
-    want = np.argmax(keys, axis=0)
+    want = np.array([max(range(len(col)), key=col.__getitem__) for col in keys.T.tolist()])
     cols = np.arange(keys.shape[1])
-    assert np.array_equal(index, want)
-    assert np.array_equal(key, keys[want, cols])
+    for c, col in enumerate(keys.T.tolist()):
+        index, key, row = _floats._first_max(col, rows[:, :, c].tolist())
+        assert index == want[c]
+        assert np.array_equal(key, keys[want[c], c], equal_nan=True)
+        assert row == rows[want[c], :, c].tolist()
+    index, key, row = _floats._first_max(keys, rows, np.where)
+    assert np.array_equal(np.broadcast_to(index, want.shape), want)
+    assert np.array_equal(key, keys[want, cols], equal_nan=True)
     assert np.array_equal(row, rows[want, :, cols].T)
+    if not np.isnan(keys).any():
+        assert np.array_equal(want, np.argmax(keys, axis=0))
 
 
 def _euler_rodrigues_rows(q):
