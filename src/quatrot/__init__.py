@@ -35,10 +35,7 @@ _EXPORTS = {
     "RankDeficiency": "errors",
     "Xorshift64Star": "rng",
     "ZeroMatrix": "errors",
-    "as_mat3": "linalg",
-    "as_mat4": "linalg",
     "as_unit": "quaternion",
-    "as_vec4": "linalg",
     "associate_matrix": "rot4",
     "check_orthonormal": "linalg",
     "classify": "rot3",

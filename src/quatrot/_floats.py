@@ -384,7 +384,7 @@ _EXTRACT_ERRORS = {
 }
 
 
-def _extract(rows, report: OrthogonalityReport, kind: IsometryKind, refine: bool = False):
+def _extract(rows, report: OrthogonalityReport, kind: IsometryKind):
     """``rot3.extract_rotation`` (or ``extract_rotoreflection``) on floats:
     (params, branch, residual), given the report _orthogonality made of
     the finite 3x3 matrix with rows ``rows``."""
@@ -396,9 +396,6 @@ def _extract(rows, report: OrthogonalityReport, kind: IsometryKind, refine: bool
     k, q, residual = _solve(table)
     if residual > tol:
         raise InconsistentSystem(f"ten-equation residual {residual:.3e} > tol {tol:.3e}")
-    if refine:
-        q = _unit(q)
-        residual = _residual(table, q)
     return q, BRANCHES[k], residual
 
 

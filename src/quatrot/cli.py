@@ -183,8 +183,8 @@ def parse_quaternion_pair(text: str, fmt: str):
 
 
 def _vec4(q) -> list:
-    """q, after the check that ``linalg.as_vec4`` makes of a quaternion
-    argument of the scalar API."""
+    """q, after the finiteness check that ``linalg._float_rows`` makes of a
+    quaternion argument of the scalar API."""
     _floats._require_finite(q, "vec4")
     return q
 

@@ -1,8 +1,17 @@
 """Exception types raised by the library.
 
-All errors derive from QuatrotError so callers can catch everything from
-this package with a single except clause. Each class also carries a short
-machine-readable ``code`` used by the CLI error objects.
+All errors derive from QuatrotError, a ValueError, and each class carries a
+short machine-readable ``code`` used by the CLI error objects. An array
+argument of the scalar API that is not an array of finite real numbers
+(NaN, Inf, a non-numeric string, a ragged list, an object) raises
+NonFiniteInput naming the argument.
+
+``except QuatrotError`` does not yet catch everything the package raises.
+A plain ValueError comes from a ``tol`` outside (0, 1) (or not a number),
+a ``dim`` other than 3 or 4 and a seed that is not an integer in
+[0, 2**64); an AttributeError from an ``rng`` that is not an
+``Xorshift64Star``, and from a ``kernels`` batch function given anything
+but an ndarray. ``except ValueError`` catches all but the AttributeErrors.
 """
 
 
@@ -13,8 +22,8 @@ class QuatrotError(ValueError):
 
 
 class NonFiniteInput(QuatrotError):
-    """Input contains NaN or Inf, rejected at construction, or is finite
-    but too large to square (``rank1_factor``'s Frobenius norm)."""
+    """Input is not an array of finite real numbers of the expected shape,
+    or is finite but too large to square (``rank1_factor``'s Frobenius norm)."""
 
     code = "non_finite"
 

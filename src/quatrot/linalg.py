@@ -1,15 +1,17 @@
 """Fixed-size dense matrix/vector primitives.
 
 Values are plain float64 numpy arrays: shape (4,) vectors, (3, 3) and
-(4, 4) matrices. The ``as_*`` constructors validate shape, reject NaN/Inf
-and return a C-ordered copy. Each public function of the scalar API
-(here and in quaternion, rot3, rot4 and rng) reads each argument once
-with ``_float_rows``: one ``np.array`` unless it is a float64 ndarray
+(4, 4) matrices. Each public function of the scalar API (here and in
+quaternion, rot3, rot4 and rng) reads each argument once with
+``_float_rows``: one ``np.array`` unless it is a float64 ndarray
 already, a shape check, ``tolist()``, and ``_floats._require_finite`` on
 the Python floats. It hands those to the cores in ``_floats``, which
 import no numpy, and returns ``np.array`` of their result (``rot3``
-gates its floats with ``_report``). All functions are pure, never
-mutate an argument and never return a view of one.
+gates its floats with ``_report``). An argument that numpy cannot
+convert to float64 (a non-numeric string, a ragged list, an object)
+raises ``NonFiniteInput`` naming it, as a wrong shape, NaN or Inf does.
+All functions are pure, never mutate an argument and never return a
+view of one.
 ``OrthogonalityReport``, ``canonical_sign`` and ``SIGN_EPS`` are
 ``_floats``' own objects, re-exported here; the summation orders are
 described there.
@@ -26,8 +28,6 @@ from ._floats import (
     DEFAULT_TOL,
     SIGN_EPS,
     OrthogonalityReport,
-    _det3,
-    _det4,
     _gram,
     _mat_mul,
     _orthogonality,
@@ -38,11 +38,23 @@ from ._floats import (
 from .errors import NonFiniteInput
 
 
+def _float64(a, name: str) -> np.ndarray:
+    """a as a float64 ndarray, itself if it is one; NonFiniteInput naming
+    ``name`` when numpy cannot convert it."""
+    if type(a) is np.ndarray and a.dtype.char == "d":
+        return a
+    try:
+        return np.array(a, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise NonFiniteInput(f"{name}: entries must be finite real numbers") from None
+
+
 def _float_rows(a, shape: tuple, name: str) -> list:
     """a's entries as (nested lists of) Python floats, converting only what is
-    not a float64 ndarray; NonFiniteInput naming ``name`` for another shape, NaN or Inf."""
+    not a float64 ndarray; NonFiniteInput naming ``name`` for a non-numeric
+    argument, another shape, NaN or Inf."""
     if type(a) is not np.ndarray or a.dtype.char != "d":
-        a = np.array(a, dtype=np.float64)
+        a = _float64(a, name)
     if a.shape != shape:
         raise NonFiniteInput(f"{name}: expected shape {shape}, got {a.shape}")
     rows = a.tolist()
@@ -62,21 +74,6 @@ def _report(rows: list, tol) -> OrthogonalityReport:
     return _orthogonality(rows, _gram(rows), tol)
 
 
-def as_vec4(v) -> np.ndarray:
-    """Validate and copy a length-4 vector."""
-    return np.array(_float_rows(v, (4,), "vec4"))
-
-
-def as_mat3(m) -> np.ndarray:
-    """Validate and copy a 3x3 matrix."""
-    return np.array(_float_rows(m, (3, 3), "mat3"))
-
-
-def as_mat4(m) -> np.ndarray:
-    """Validate and copy a 4x4 matrix."""
-    return np.array(_float_rows(m, (4, 4), "mat4"))
-
-
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed accumulation order.
 
@@ -84,21 +81,12 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     from 0.0, so that golden tests are reproducible bit-for-bit on one
     platform. Accepts 3x3 or 4x4 pairs.
     """
-    shape = np.shape(a)
-    if shape != np.shape(b) or shape not in ((3, 3), (4, 4)):
-        raise NonFiniteInput(f"matrix product: incompatible shapes {shape}, {np.shape(b)}")
+    a, b = _float64(a, "matrix"), _float64(b, "matrix")
+    shape = a.shape
+    if shape != b.shape or shape not in ((3, 3), (4, 4)):
+        raise NonFiniteInput(f"matrix product: incompatible shapes {shape}, {b.shape}")
     rows = _float_rows(a, shape, "matrix")
     return np.array(_mat_mul(rows, list(zip(*_float_rows(b, shape, "matrix")))))
-
-
-def det3(m: np.ndarray) -> float:
-    """Determinant of a 3x3 matrix, cofactor expansion along row 0."""
-    return _det3(_float_rows(m, (3, 3), "mat3"))
-
-
-def det4(m: np.ndarray) -> float:
-    """Determinant of a 4x4 matrix, cofactor expansion along row 0."""
-    return _det4(_float_rows(m, (4, 4), "mat4"))
 
 
 def check_orthonormal(m: np.ndarray, tol: float = DEFAULT_TOL) -> OrthogonalityReport:
@@ -109,7 +97,7 @@ def check_orthonormal(m: np.ndarray, tol: float = DEFAULT_TOL) -> OrthogonalityR
     around determinant +1 and -1 overlap, and a NaN tol fails every gate.
     """
     _require_tol(tol)
-    m = np.asarray(m, dtype=np.float64)
+    m = _float64(m, "matrix")
     if m.shape not in ((3, 3), (4, 4)):
         raise NonFiniteInput(f"orthonormality check: expected 3x3 or 4x4, got {m.shape}")
     rows = _float_rows(m, m.shape, f"mat{m.shape[0]}")

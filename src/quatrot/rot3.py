@@ -90,33 +90,31 @@ def classify(m, tol: float = DEFAULT_TOL) -> IsometryKind:
     return _kind(_report(_float_rows(m, (3, 3), "mat3"), tol))
 
 
-def _extract(
-    rows: list, report: OrthogonalityReport, kind: IsometryKind, refine: bool = False
-) -> ExtractionResult:
+def _extract(rows: list, report: OrthogonalityReport, kind: IsometryKind) -> ExtractionResult:
     """Extraction from the rows that _float_rows read of a 3x3 matrix,
     given the OrthogonalityReport that _report made of them."""
-    params, branch, residual = _floats._extract(rows, report, kind, refine)
+    params, branch, residual = _floats._extract(rows, report, kind)
     return ExtractionResult(np.array(params), branch, residual)
 
 
-def extract_rotation(m, tol: float = DEFAULT_TOL, refine: bool = False) -> ExtractionResult:
+def extract_rotation(m, tol: float = DEFAULT_TOL) -> ExtractionResult:
     """Recover the rotation parameters of a 3x3 rotation matrix.
 
     Seeds from the largest of the four squared-component quantities (so
     the solve never divides by a small number; the small-angle and
     near-pi prescriptions both fall out of this choice), recovers the
     remaining three components from the cross-product equations pairing
-    the seed, and cross-checks all ten equations. refine=True additionally
-    renormalizes the result to exactly unit length.
+    the seed, and cross-checks all ten equations. The parameters are unit
+    to within rounding; ``quaternion.as_unit`` renormalizes them.
 
     Raises NotARotation if m fails the orthogonality/determinant gate,
     InconsistentSystem if the ten equations disagree beyond tol.
     """
     rows = _float_rows(m, (3, 3), "mat3")
-    return _extract(rows, _report(rows, tol), IsometryKind.ROTATION, refine)
+    return _extract(rows, _report(rows, tol), IsometryKind.ROTATION)
 
 
-def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) -> ExtractionResult:
+def extract_rotoreflection(m, tol: float = DEFAULT_TOL) -> ExtractionResult:
     """Recover the parameters of a 3x3 rotoreflection matrix.
 
     The same solve as ``extract_rotation``, on the associate matrix of the
@@ -124,7 +122,7 @@ def extract_rotoreflection(m, tol: float = DEFAULT_TOL, refine: bool = False) ->
     are those of the rotation -m, without negating m.
     """
     rows = _float_rows(m, (3, 3), "mat3")
-    return _extract(rows, _report(rows, tol), IsometryKind.ROTOREFLECTION, refine)
+    return _extract(rows, _report(rows, tol), IsometryKind.ROTOREFLECTION)
 
 
 def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleReport:

@@ -568,7 +568,7 @@ def test_the_library_and_the_cli_give_one_verdict_at_the_gates_edge(q, flip, squ
     m = -r if flip else r
     assert linalg.check_orthonormal(m, tol).is_orthonormal == (ratio < 1.0)
     cases = [
-        (["classify"], lambda: rot3.classify(m, tol), lambda k: {"kind": k.value, "det": linalg.det3(m)}),
+        (["classify"], lambda: rot3.classify(m, tol), lambda k: {"kind": k.value, "det": linalg.check_orthonormal(m, tol).determinant}),
         (["mat2quat", "--kind", "rotation"], lambda: rot3.extract_rotation(m, tol), _extraction(IsometryKind.ROTATION)),
         (["mat2quat", "--kind", "rotoreflection"], lambda: rot3.extract_rotoreflection(m, tol),
          _extraction(IsometryKind.ROTOREFLECTION)),

@@ -1,8 +1,11 @@
 """The package loads its names lazily and binds each to its defining
-object, and its result types are immutable named tuples."""
+object, the README lists them by module, and its result types are
+immutable named tuples."""
 
 import importlib
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,18 @@ def test_submodules_resolve_as_attributes(name):
 def test_dir_lists_all():
     assert set(quatrot.__all__) <= set(dir(quatrot))
     assert set(SUBMODULES) <= set(dir(quatrot))
+
+
+def test_the_readmes_public_names_are_all_by_module():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for module, names in re.findall(r"^- `(\w+)`: (.*)$", section, re.M):
+        for name in re.findall(r"`(\w+)`", names):
+            assert name not in listed, name
+            listed[name] = module
+    assert listed == quatrot._EXPORTS
+    assert f"holds {len(quatrot.__all__)} names" in section
 
 
 def test_an_unknown_name_raises_attribute_error():

@@ -152,13 +152,6 @@ def test_extract_sign_convention():
                 break
 
 
-def test_extract_refine_renormalizes():
-    rng = Xorshift64Star(36)
-    q = random_unit_quaternion(rng)
-    result = extract_rotation(euler_rodrigues(q), refine=True)
-    assert np.sum(result.params**2) == pytest.approx(1.0, abs=1e-15)
-
-
 def test_extract_rejects_rotoreflection_and_junk():
     with pytest.raises(NotARotation):
         extract_rotation(np.diag([1.0, 1.0, -1.0]))
