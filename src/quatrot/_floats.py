@@ -15,9 +15,9 @@ gate, indeterminate, or its kind) and ``_factor`` gates and factors a
 math, quatrot's errors, and enum, collections (whose ``namedtuple``
 makes ``OrthogonalityReport``), functools and operator, which the CLI's
 json loads anyway: no numpy and no dataclasses, so ``python -m quatrot``
-runs on it alone. The public functions of ``linalg``, ``quaternion``,
-``rot3``, ``rot4`` and ``rng`` validate their arguments, call these cores
-on ``ndarray.tolist()`` values and return ``np.array`` of the result;
+runs on it alone. ``_array`` reads the CLI's matrices and every scalar
+API argument that is not a float64 ndarray; the public functions call
+these cores on the floats read and return ``np.array`` of the result;
 ``kernels`` runs the row formulas (``_er_entries``, ``_products``,
 ``_ordered_sum``) and the policies (the tie rule ``_first_max``, the
 sign rule ``_sign``, the solve ``_solve``) on its blocks' component rows.
@@ -97,6 +97,30 @@ class OrthogonalityReport(
 def _require_finite(values, name: str) -> None:
     if not all(map(math.isfinite, values)):
         raise NonFiniteInput(f"{name}: entries must be finite")
+
+
+_MAX_DIMS = 64  # numpy's limit on the dimensions of an array
+_NUMBERS = frozenset((float, int, bool, str))  # float() of one of these is _array's reading of it
+
+
+def _array(data, depth: int = 0):
+    """(values, shape) of data as an array of real numbers: lists and tuples
+    nest (to _MAX_DIMS), an object with ``tolist()`` is read through it, any
+    other value is one ``float()``, None NaN; else TypeError, ValueError or
+    OverflowError (a complex number, a ragged list)."""
+    if type(data) not in (list, tuple) and hasattr(data, "tolist"):
+        data = data.tolist()
+    if type(data) not in (list, tuple):
+        return (math.nan if data is None else float(data)), ()
+    if depth == _MAX_DIMS:
+        raise ValueError(f"lists nested more than {_MAX_DIMS} deep")
+    if _NUMBERS.issuperset(map(type, data)):
+        return list(map(float, data)), (len(data),)  # a row of numbers
+    items = [_array(x, depth + 1) for x in data]
+    shapes = {shape for _, shape in items}
+    if len(shapes) > 1:
+        raise ValueError(f"rows of different shapes {sorted(shapes)}")
+    return [values for values, _ in items], (len(data), *shapes.pop())
 
 
 # --- the orthogonality gate -------------------------------------------------

@@ -10,10 +10,9 @@ round-trip through double precision exactly.
 
 The CLI process imports json, math, sys and quatrot's ``_floats`` and
 ``errors`` (re and types, which it also uses, come with json): no
-numpy, argparse or dataclasses. It parses its input into nested lists of
-Python floats, as ``np.array(data, dtype=float64)`` read them (numeric
-strings and booleans are numbers, JSON null is NaN), rejects non-finite
-entries with ``math.isfinite``, and calls the float cores of
+numpy, argparse or dataclasses. It reads its matrix with ``_floats._array``,
+the scalar API's reader (JSON null is NaN), rejects non-finite entries
+with ``math.isfinite``, and calls the float cores of
 ``_floats``, which the public functions of rot3, rot4 and rng wrap, so
 it prints their bits and raises their errors. A matrix command checks
 its matrix once (``_checked``), decides its kind once from that report
@@ -39,7 +38,6 @@ single-line JSON object {"error": code, "detail": text} on stderr;
 from __future__ import annotations
 
 import json
-import math
 import re
 import sys
 from types import SimpleNamespace
@@ -107,29 +105,6 @@ def _load_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
-_MAX_DIMS = 64  # numpy's limit on the dimensions of an array
-
-
-def _array(data, depth: int = 0):
-    """(values, shape) of JSON data read as a float64 array: lists nest,
-    up to _MAX_DIMS deep, and every other value is one float (null is
-    NaN). Raises ValueError for rows of unequal shape or deeper nesting,
-    TypeError or ValueError for a value that is not a number."""
-    if type(data) is not list:
-        return (math.nan if data is None else float(data)), ()
-    if depth == _MAX_DIMS:
-        raise ValueError(f"lists nested more than {_MAX_DIMS} deep")
-    try:
-        return list(map(float, data)), (len(data),)  # a row of numbers
-    except TypeError:
-        pass  # a list, null or another non-number: read each value alone
-    items = [_array(x, depth + 1) for x in data]
-    shapes = {shape for _, shape in items}
-    if len(shapes) > 1:
-        raise ValueError(f"rows of different shapes {sorted(shapes)}")
-    return [values for values, _ in items], (len(data), *shapes.pop())
-
-
 def parse_matrix(text: str, fmt: str) -> list:
     """The 3x3 or 4x4 matrix in text, as rows of floats."""
     if fmt == "json":
@@ -140,7 +115,7 @@ def parse_matrix(text: str, fmt: str) -> list:
     else:
         data = _parse_numbers_plain(text)
     try:
-        rows, shape = _array(data)
+        rows, shape = _floats._array(data)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"matrix is not rectangular numeric data: {exc}") from exc
     if shape not in ((3, 3), (4, 4)):
@@ -482,7 +457,7 @@ def main(argv=None) -> int:
                     text = handle.read()
             else:
                 text = sys.stdin.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             return _fail("parse_error", f"cannot read input: {exc}", EXIT_PARSE)
     try:
         result = _HANDLERS[args.command](args, text)

@@ -3,15 +3,17 @@
 All errors derive from QuatrotError, a ValueError, and each class carries a
 short machine-readable ``code`` used by the CLI error objects. An array
 argument of the scalar API that is not an array of finite real numbers
-(NaN, Inf, a non-numeric string, a ragged list, an object) raises
-NonFiniteInput naming the argument.
+(NaN, Inf, a complex or non-numeric entry, a ragged list, an object)
+raises NonFiniteInput naming the argument, and so does an argument of a
+``kernels`` batch function that is not an ndarray of real numbers in its
+stack's shape.
 
 ``except QuatrotError`` does not yet catch everything the package raises.
 A plain ValueError comes from a ``tol`` outside (0, 1) (or not a number),
 a ``dim`` other than 3 or 4 and a seed that is not an integer in
 [0, 2**64); an AttributeError from an ``rng`` that is not an
-``Xorshift64Star``, and from a ``kernels`` batch function given anything
-but an ndarray. ``except ValueError`` catches all but the AttributeErrors.
+``Xorshift64Star``; numpy's TypeError from ``batch_euler_rodrigues`` given
+a bool stack. ``except ValueError`` catches all but the last two.
 """
 
 

@@ -1,10 +1,13 @@
 """Batch kernels for the hot numeric loops, vectorized with numpy.
 
-These kernels trust their inputs (float64 arrays of the right shape,
-rows already rotations where that matters) and report residuals instead
-of raising; validation and error semantics live in the scalar API of
-rot3/rot4. Batch layouts: quaternions (n, 4) in (w, x, y, z) order,
-matrices (n, 3, 3) or (n, 4, 4).
+Batch layouts: quaternions (n, 4) in (w, x, y, z) order, matrices
+(n, 3, 3) or (n, 4, 4). Each kernel checks only that every argument is
+an ndarray of real numbers (bool, int or float dtype) in its layout, with
+the same n for both arguments of compose (``_stack``: it converts nothing
+and reads no row), and raises NonFiniteInput naming the argument
+otherwise. Beyond that the kernels trust their inputs (finite rows,
+rotations where that matters) and report residuals instead of raising;
+row validation and its errors live in the scalar API of rot3/rot4.
 
 Block contract: each kernel allocates its outputs once, then runs its
 formula over consecutive blocks of at most ``_BLOCK`` rows and writes
@@ -56,6 +59,7 @@ import numpy as np
 
 from . import _floats
 from ._floats import IsometryKind, _ordered_sum
+from .errors import NonFiniteInput
 
 # Rows per block. One (b, 4, 4) float64 temporary is then 512 KiB, so a
 # block's working set stays in a 2 MiB per-core L2 instead of streaming
@@ -72,6 +76,16 @@ _BLOCK = 4096
 # change with the row count (3, 5, 7, 9, 17, 33 rows differ; 1, 2, 4, 8 agree).
 _ASSOC = np.array([_floats._associate(e.reshape(4, 4).tolist()) for e in np.eye(16)]).reshape(16, 16)
 _COMPOSE = np.ascontiguousarray(4.0 * _ASSOC.T)
+
+
+def _stack(x, name: str, shape: tuple, n=None) -> int:
+    """The row count of x, an (n, *shape) ndarray of real numbers, n given or
+    any; NonFiniteInput naming ``name`` for anything else."""
+    real = isinstance(x, np.ndarray) and x.dtype.kind in "biuf"  # bool, int, unsigned or float
+    if not (real and x.shape[1:] == shape) or n not in (None, len(x)):
+        layout = ", ".join(map(str, ("n" if n is None else n, *shape)))
+        raise NonFiniteInput(f"{name}: expected an ndarray of real numbers of shape ({layout})")
+    return len(x)
 
 
 def _blocked(kernel, inputs: tuple, outputs: tuple) -> tuple:
@@ -101,7 +115,7 @@ def _euler_rodrigues(q: np.ndarray, out: np.ndarray) -> None:
 
 def batch_euler_rodrigues(q: np.ndarray) -> np.ndarray:
     """(n, 4) unit quaternions -> (n, 3, 3) rotation matrices."""
-    (out,) = _blocked(_euler_rodrigues, (q,), (np.empty((q.shape[0], 3, 3)),))
+    (out,) = _blocked(_euler_rodrigues, (q,), (np.empty((_stack(q, "q", (4,)), 3, 3)),))
     return out
 
 
@@ -119,7 +133,7 @@ def batch_extract_rotation(m: np.ndarray):
     ``rot3.BRANCHES`` naming the component the row was seeded from; residual
     is (n,), the largest error of the ten quadratic equations q_i q_j = p_ij.
     """
-    n = m.shape[0]
+    n = _stack(m, "m", (3, 3))
     outputs = (np.empty((n, 4)), np.empty(n, dtype=np.int64), np.empty(n))
     return _blocked(_extract_rotation, (m,), outputs)
 
@@ -131,7 +145,8 @@ def _compose_4d(l: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
 
 def batch_compose_4d(l: np.ndarray, r: np.ndarray) -> np.ndarray:
     """(n, 4) left and right unit quaternions -> (n, 4, 4) rotations L(l) R(r)."""
-    (out,) = _blocked(_compose_4d, (l, r), (np.empty((l.shape[0], 4, 4)),))
+    n = _stack(r, "r", (4,), _stack(l, "l", (4,)))
+    (out,) = _blocked(_compose_4d, (l, r), (np.empty((n, 4, 4)),))
     return out
 
 
@@ -141,7 +156,7 @@ def _associate_matrix(a: np.ndarray, out: np.ndarray) -> None:
 
 def batch_associate_matrix(a: np.ndarray) -> np.ndarray:
     """(n, 4, 4) matrices -> (n, 4, 4) associate matrices."""
-    (out,) = _blocked(_associate_matrix, (a,), (np.empty((a.shape[0], 4, 4)),))
+    (out,) = _blocked(_associate_matrix, (a,), (np.empty((_stack(a, "a", (4, 4)), 4, 4)),))
     return out
 
 
@@ -180,6 +195,6 @@ def batch_decompose_4d(a: np.ndarray):
     Frobenius distance of the input from compose(u, v). Row i's u, v and
     rank1_residual are ``linalg.rank1_factor(batch_associate_matrix(a)[i])``.
     """
-    n = a.shape[0]
+    n = _stack(a, "a", (4, 4))
     outputs = (np.empty((n, 4)), np.empty((n, 4)), np.empty(n), np.empty(n))
     return _blocked(_decompose_4d, (a,), outputs)

@@ -2,19 +2,17 @@
 
 Values are plain float64 numpy arrays: shape (4,) vectors, (3, 3) and
 (4, 4) matrices. Each public function of the scalar API (here and in
-quaternion, rot3, rot4 and rng) reads each argument once with
-``_float_rows``: one ``np.array`` unless it is a float64 ndarray
-already, a shape check, ``tolist()``, and ``_floats._require_finite`` on
-the Python floats. It hands those to the cores in ``_floats``, which
-import no numpy, and returns ``np.array`` of their result (``rot3``
-gates its floats with ``_report``). An argument that numpy cannot
-convert to float64 (a non-numeric string, a ragged list, an object)
-raises ``NonFiniteInput`` naming it, as a wrong shape, NaN or Inf does.
-All functions are pure, never mutate an argument and never return a
-view of one.
-``OrthogonalityReport``, ``canonical_sign`` and ``SIGN_EPS`` are
-``_floats``' own objects, re-exported here; the summation orders are
-described there.
+quaternion, rot3 and rot4) reads each argument once with ``_float_rows``:
+a float64 ndarray as it is, anything else through ``_floats._array``, the
+CLI's reader, then a shape check, ``tolist()`` and a finiteness check. It
+hands those floats to the cores in ``_floats`` and returns ``np.array`` of
+their result (``rot3`` gates its floats with ``_report``). An argument
+that is not an array of real numbers (a complex or non-numeric entry, a
+ragged list, an object) raises ``NonFiniteInput`` naming it, as a wrong
+shape, NaN or Inf does. All functions are pure, never mutate an argument
+and never return a view of one. ``OrthogonalityReport``,
+``canonical_sign`` and ``SIGN_EPS`` are ``_floats``' own objects,
+re-exported here; the summation orders are described there.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from ._floats import (
     DEFAULT_TOL,
     SIGN_EPS,
     OrthogonalityReport,
+    _array,
     _gram,
     _mat_mul,
     _orthogonality,
@@ -38,13 +37,15 @@ from ._floats import (
 from .errors import NonFiniteInput
 
 
-def _float64(a, name: str) -> np.ndarray:
-    """a as a float64 ndarray, itself if it is one; NonFiniteInput naming
-    ``name`` when numpy cannot convert it."""
+def _ndarray(a, name: str) -> np.ndarray:
+    """a as a float64 ndarray: itself, or what ``_floats._array`` reads of it (of
+    ``np.asarray(a)`` if only ``__array__`` has it); else NonFiniteInput naming ``name``."""
     if type(a) is np.ndarray and a.dtype.char == "d":
         return a
+    if not hasattr(a, "tolist") and hasattr(a, "__array__"):
+        a = np.asarray(a)
     try:
-        return np.array(a, dtype=np.float64)
+        return np.array(_array(a)[0])
     except (TypeError, ValueError, OverflowError):
         raise NonFiniteInput(f"{name}: entries must be finite real numbers") from None
 
@@ -54,7 +55,7 @@ def _float_rows(a, shape: tuple, name: str) -> list:
     not a float64 ndarray; NonFiniteInput naming ``name`` for a non-numeric
     argument, another shape, NaN or Inf."""
     if type(a) is not np.ndarray or a.dtype.char != "d":
-        a = _float64(a, name)
+        a = _ndarray(a, name)
     if a.shape != shape:
         raise NonFiniteInput(f"{name}: expected shape {shape}, got {a.shape}")
     rows = a.tolist()
@@ -81,7 +82,7 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     from 0.0, so that golden tests are reproducible bit-for-bit on one
     platform. Accepts 3x3 or 4x4 pairs.
     """
-    a, b = _float64(a, "matrix"), _float64(b, "matrix")
+    a, b = _ndarray(a, "matrix"), _ndarray(b, "matrix")
     shape = a.shape
     if shape != b.shape or shape not in ((3, 3), (4, 4)):
         raise NonFiniteInput(f"matrix product: incompatible shapes {shape}, {b.shape}")
@@ -97,7 +98,7 @@ def check_orthonormal(m: np.ndarray, tol: float = DEFAULT_TOL) -> OrthogonalityR
     around determinant +1 and -1 overlap, and a NaN tol fails every gate.
     """
     _require_tol(tol)
-    m = _float64(m, "matrix")
+    m = _ndarray(m, "matrix")
     if m.shape not in ((3, 3), (4, 4)):
         raise NonFiniteInput(f"orthonormality check: expected 3x3 or 4x4, got {m.shape}")
     rows = _float_rows(m, m.shape, f"mat{m.shape[0]}")

@@ -263,6 +263,8 @@ def calls(inp: dict):
         "q3": q0[:3].copy(), "q5": np.append(q0, 0.0), "m2": m30[:2, :2].copy(), "m3": m30.copy(),
         "m4": m40.copy(), "m34": m40[:3].copy(), "scalar": np.float64(1.0), "empty": np.zeros(0),
         "ragged": [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]], "text": "abc",
+        # a complex entry is refused, not cast to its real part
+        "complex": m30 + 0.5j, "tuple": tuple(map(tuple, m3[13].tolist())),
     }
     unary = ("quaternion.as_unit", "quaternion.conjugate", "quaternion.left_matrix", "rot3.euler_rodrigues",
              "linalg.check_orthonormal", "linalg.rank1_factor", "rot3.classify",

@@ -2,13 +2,18 @@
 
 Each public function reads each argument once (``linalg._float_rows``):
 a float64 ndarray as it stands, whatever its memory layout, anything
-else through one ``np.array``. So an argument is never copied, and these
-tests check what that must not change: no function writes to an
-argument or returns a view of one, a NaN or inf anywhere in any
-argument gives the same error as before, a string, a ragged list or an
-object gives ``NonFiniteInput`` naming the argument, and int, bool,
-float32 and nested-tuple arguments give the bytes of their float64 values.
+else through ``_floats._array``, the CLI's reader. So an argument is
+never copied, and these tests check what that must not change: no
+function writes to an argument or returns a view of one, a NaN or inf
+anywhere in any argument gives the same error as before, a string, a
+ragged list, an object, a complex entry or a one-element array entry
+gives ``NonFiniteInput`` naming the argument (with no ComplexWarning),
+and int, bool, float32, nested-tuple, list-of-rows, ``array.array`` and
+``__array__`` arguments give the bytes of their float64 values.
 """
+
+import array
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +92,24 @@ LAYOUTS = {
     "broadcast": lambda a: np.broadcast_to(a, a.shape),
 }
 
+
+class _ArrayLike:
+    """An object that numpy knows only by ``__array__``."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def __array__(self, dtype=None, copy=None):
+        return self.a if dtype is None else self.a.astype(dtype)
+
+
+def _array_arrays(a):
+    """A vector as one ``array.array``, a matrix as a list of them."""
+    if a.ndim > 1:
+        return [array.array("d", row) for row in a.tolist()]
+    return array.array("d", a.tolist())
+
+
 # other argument types, each converted once
 CONVERSIONS = {
     "int": lambda a: a.astype(np.int64),
@@ -94,6 +117,9 @@ CONVERSIONS = {
     "float32": lambda a: a.astype(np.float32),
     "list": lambda a: a.tolist(),
     "tuple": _tuples,
+    "rows": list,  # a matrix's row arrays, a vector's numpy scalars
+    "array.array": _array_arrays,
+    "__array__": _ArrayLike,
 }
 
 
@@ -136,7 +162,8 @@ def test_a_non_finite_entry_anywhere_gives_the_same_error(label, position, data)
     fn, args, _, names = CASES[label]
     bad = np.array(args[position], dtype=np.float64)
     bad.flat[data.draw(st.integers(0, bad.size - 1), label="index")] = data.draw(BAD, label="value")
-    form = data.draw(st.sampled_from(sorted(LAYOUTS) + ["list", "tuple"]), label="form")
+    forms = sorted(LAYOUTS) + ["list", "tuple", "rows", "array.array", "__array__"]
+    form = data.draw(st.sampled_from(forms), label="form")
     make = LAYOUTS.get(form) or CONVERSIONS[form]
     args = list(args)
     args[position] = make(bad)
@@ -154,7 +181,22 @@ def _ragged(a):
     return rows
 
 
-NON_NUMERIC = {"text": lambda a: "abc", "ragged": _ragged, "object": lambda a: object()}
+def _one_element_array(a):
+    """a as nested lists with its first entry a one-element ndarray."""
+    rows = np.asarray(a).tolist()
+    row = rows[0] if isinstance(rows[0], list) else rows
+    row[0] = np.array([row[0]])
+    return rows
+
+
+NON_NUMERIC = {
+    "text": lambda a: "abc",
+    "ragged": _ragged,
+    "object": lambda a: object(),
+    "complex_ndarray": lambda a: np.asarray(a, dtype=complex),
+    "complex_list": lambda a: np.asarray(a, dtype=complex).tolist(),
+    "one_element_array": _one_element_array,
+}
 
 
 @pytest.mark.parametrize("kind", sorted(NON_NUMERIC))
@@ -163,8 +205,10 @@ def test_a_non_numeric_argument_gives_non_finite_input_naming_it(label, position
     fn, args, _, names = CASES[label]
     args = list(args)
     args[position] = NON_NUMERIC[kind](args[position])
-    with pytest.raises(NonFiniteInput) as exc:
-        fn(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a complex entry is refused, not cast with a ComplexWarning
+        with pytest.raises(NonFiniteInput) as exc:
+            fn(*args)
     assert type(exc.value) is NonFiniteInput and exc.value.code == "non_finite"
     # check_orthonormal reads its shape from the converted array, so it cannot say mat3 or mat4
     name = "matrix" if fn is linalg.check_orthonormal else names[position]

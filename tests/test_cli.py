@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -84,6 +85,24 @@ def test_input_file(tmp_path, monkeypatch, capsys):
     code, out, _ = run_cli(["classify", "--input", str(path)], "", monkeypatch, capsys)
     assert code == 0
     assert json.loads(out)["kind"] == "rotation"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_that_is_not_utf8_is_a_parse_error(source, tmp_path, monkeypatch, capsys):
+    data = b'{"matrix": "\xff"}'
+    args = ["classify"]
+    if source == "file":
+        (tmp_path / "m.json").write_bytes(data)
+        args += ["--input", str(tmp_path / "m.json")]
+    else:  # a stdin that decodes strictly, as under PYTHONIOENCODING=utf-8:strict
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict"))
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "parse_error",
+        "detail": "cannot read input: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte",
+    }
 
 
 def test_verify_random_rotation_is_ok(monkeypatch, capsys):
@@ -339,7 +358,7 @@ def test_help_prints_argparses_help_at_80_columns(monkeypatch, capsys):
     assert capsys.readouterr().out == oracle_parser().format_help()
 
 
-# --- parsing edge cases: matrices are read as np.array(data, float64) reads them
+# --- parsing edge cases: matrices are read as the scalar API reads its arguments (_floats._array)
 
 IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
@@ -400,6 +419,55 @@ def test_json_nested_too_deep_to_decode_is_a_parse_error(monkeypatch, capsys):
     payload = json.loads(err)
     assert payload["error"] == "parse_error"
     assert payload["detail"].startswith("invalid JSON: ")
+
+
+_FINITE = st.one_of(st.floats(-2, 2), st.integers(-2, 2), st.booleans(), st.floats(-2, 2).map(repr))
+_ANY_ENTRY = st.one_of(
+    _FINITE,
+    st.floats(),  # inf and nan too
+    st.integers(2**1024, 2**1100).map(lambda i: i * (-1) ** (i % 2)),  # beyond the float range
+    st.none(),
+    st.sampled_from(["1e400", "nan", " 1 ", "1_0", "0x1", "one", ""]),
+    st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_MATRICES = st.one_of(
+    st.tuples(st.integers(3, 4), st.sampled_from([_FINITE, _ANY_ENTRY])).flatmap(
+        lambda size_entries: st.lists(
+            st.lists(size_entries[1], min_size=size_entries[0], max_size=size_entries[0]),
+            min_size=size_entries[0], max_size=size_entries[0],
+        )
+    ),
+    st.lists(st.lists(_ANY_ENTRY, min_size=2, max_size=5), min_size=2, max_size=5),  # ragged or another shape
+    _ANY_ENTRY,
+)
+
+
+def _cli_reading(data):
+    """The rows and report of the CLI's gate on {"matrix": data}, or None for a rejection."""
+    args = SimpleNamespace(format="json", tol=_floats.DEFAULT_TOL, command="classify")
+    try:
+        return cli._checked(args, json.dumps({"matrix": data}))
+    except (cli.ParseError, QuatrotError):
+        return None
+
+
+def _library_reading(data):
+    try:
+        return linalg._ndarray(data, "matrix").tolist(), linalg.check_orthonormal(data)
+    except QuatrotError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MATRICES)
+def test_check_orthonormal_and_the_cli_read_the_same_numbers(data):
+    """One reader: the library and the CLI accept a matrix with the same
+    floats and report, or both reject it."""
+    cli_side, library_side = _cli_reading(data), _library_reading(data)
+    assert (cli_side is None) == (library_side is None)
+    if cli_side is not None:
+        assert repr(cli_side) == repr(library_side)
 
 
 HUGE = "1" + "0" * 400  # a JSON integer beyond the float range

@@ -4,6 +4,7 @@ API, including the sign rule they share."""
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import quatrot.kernels as kernels
 from quatrot import _floats
+from quatrot.errors import NonFiniteInput
 from quatrot.linalg import SIGN_EPS, canonical_sign, rank1_factor
 from quatrot.quaternion import as_unit
 from quatrot.rng import Xorshift64Star, random_unit_quaternion
@@ -151,6 +153,57 @@ def test_empty_and_single_row_shapes_and_dtypes(block_stack, n):
     for name, (fn, args, spec) in _kernel_calls(*block_stack).items():
         outs = _outputs(fn(*(x[:n] for x in args)))
         assert [(o.shape, o.dtype) for o in outs] == [((n,) + shape, dt) for shape, dt in spec], name
+
+
+_PARAMETERS = {
+    "euler_rodrigues": ("q",), "extract_rotation": ("m",), "compose_4d": ("l", "r"),
+    "associate_matrix": ("a",), "decompose_4d": ("a",),
+}
+
+
+def _not_stacks(x):
+    """Arguments that are not an ndarray of real numbers shaped like the stack x."""
+    return {
+        "list": x.tolist(), "text": "abc", "object": object(), "scalar": np.float64(1.0),
+        "complex": x.astype(complex), "object_dtype": x.astype(object), "str_dtype": x.astype(str),
+        "one_row": x[0], "extra_axis": x[:, None], "short_rows": x[..., :-1],
+    }
+
+
+@pytest.mark.parametrize("name", _KERNELS)
+def test_an_argument_that_is_not_a_real_stack_gives_non_finite_input_naming_it(name):
+    fn, args, _ = _kernel_calls(*_noisy_stack(906, 5))[name]
+    for i, parameter in enumerate(_PARAMETERS[name]):
+        for form, bad in _not_stacks(args[i]).items():
+            given = list(args)
+            given[i] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no ComplexWarning on the way
+                with pytest.raises(NonFiniteInput) as exc:
+                    fn(*given)
+            assert str(exc.value).startswith(f"{parameter}: expected an ndarray of real numbers"), form
+
+
+@pytest.mark.parametrize("rows", [4, 6])
+def test_compose_needs_as_many_right_rows_as_left_rows(rows):
+    left, right, _, _ = _noisy_stack(907, 5)
+    with pytest.raises(NonFiniteInput, match=r"^r: .* of shape \(5, 4\)$"):
+        kernels.batch_compose_4d(left, np.resize(right, (rows, 4)))
+
+
+@pytest.mark.parametrize("name", _KERNELS)
+def test_bool_int_and_float32_stacks_still_run(name):
+    """None is converted: int stacks give their float64 values' bytes, bool
+    and float32 ones still run (numpy cannot subtract bools, so
+    batch_euler_rodrigues raises its TypeError on them)."""
+    fn, args, spec = _kernel_calls(*(np.sign(x) for x in _noisy_stack(908, 5)))[name]  # entries -1, 0, 1
+    for dtype in (np.int64, bool, np.float32):
+        if dtype is bool and name == "euler_rodrigues":
+            continue
+        got = _outputs(fn(*(x.astype(dtype) for x in args)))
+        assert [(o.shape, o.dtype) for o in got] == [((5,) + shape, dt) for shape, dt in spec]
+        if dtype is np.int64:
+            assert [o.tobytes() for o in got] == [o.tobytes() for o in _outputs(fn(*args))]
 
 
 def test_strided_and_fortran_inputs_match_contiguous_copies(block_stack):
