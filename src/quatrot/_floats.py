@@ -13,7 +13,7 @@ gate, indeterminate, or its kind) and ``_factor`` gates and factors a
 4x4 one for both ``rot4.decompose_4d`` and the CLI; the angle core and
 ``_embedding`` trust the kind they are handed. This module imports only
 math, quatrot's errors, and enum, collections (whose ``namedtuple``
-makes ``OrthogonalityReport``), functools and operator, which the CLI's
+makes ``OrthogonalityReport``) and operator, which the CLI's
 json loads anyway: no numpy and no dataclasses, so ``python -m quatrot``
 runs on it alone. ``_array`` reads the CLI's matrices and every scalar
 API argument that is not a float64 ndarray; the public functions call
@@ -37,7 +37,6 @@ floats with compensation, which gives other bits.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 from collections import namedtuple
@@ -190,14 +189,15 @@ def _require_orthonormal(report: OrthogonalityReport, error: type[QuatrotError])
 # --- the sign rule and the rank-1 step ----------------------------------------
 
 class _Floats:
-    """numpy's ``where``, ``sqrt`` and ``maximum`` on Python floats: the
-    policies run on floats with these, and in ``kernels`` with numpy's."""
+    """numpy's ``where``, ``sqrt``, ``maximum`` and ``max`` on Python floats:
+    the policies run on floats with these, and in ``kernels`` with numpy's."""
 
     @staticmethod
     def where(take, a, b):
         return a if take else b
 
     sqrt, maximum = math.sqrt, max
+    max = staticmethod(lambda terms, axis: max(terms))  # the builtin max, called once
 
 
 def _first_max(keys, rows, where=_Floats.where) -> tuple:
@@ -382,11 +382,11 @@ def _products(rows, kind: IsometryKind) -> list:
     return [[0.0 - p0, 0.0 + p1, 0.0 + p2, 0.0 + p3] for p0, p1, p2, p3 in assoc]
 
 
-def _residual(table, q, maximum=max):
-    """The largest |q_i q_j - table[i][j]|: the ten equations, each
-    off-diagonal one met twice."""
+def _residual(table, q, xp=_Floats):
+    """The largest |q_i q_j - table[i][j]| in one reduction: the ten
+    equations, each off-diagonal one met twice."""
     terms = [abs(qi * qj - t) for qi, row in zip(q, table) for qj, t in zip(q, row)]
-    return functools.reduce(maximum, terms)
+    return xp.max(terms, axis=0)
 
 
 def _solve(table, xp=_Floats) -> tuple:
@@ -398,7 +398,7 @@ def _solve(table, xp=_Floats) -> tuple:
     q = [xp.where(i == branch, seed, t / seed) for i, t in enumerate(row)]
     sign = _sign(q, xp.where)
     q = [c * sign for c in q]
-    return branch, q, _residual(table, q, xp.maximum)
+    return branch, q, _residual(table, q, xp)
 
 
 # What each kind's extractor raises, and its message for the other kind.

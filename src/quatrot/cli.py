@@ -10,9 +10,9 @@ round-trip through double precision exactly.
 
 The CLI process imports json, math, sys and quatrot's ``_floats`` and
 ``errors`` (re and types, which it also uses, come with json): no
-numpy, argparse or dataclasses. It reads its matrix with ``_floats._array``,
-the scalar API's reader (JSON null is NaN), rejects non-finite entries
-with ``math.isfinite``, and calls the float cores of
+numpy, argparse or dataclasses. It reads its matrix and quaternions with
+``_floats._array``, the scalar API's reader (JSON null is NaN), rejects
+non-finite entries with ``math.isfinite``, and calls the float cores of
 ``_floats``, which the public functions of rot3, rot4 and rng wrap, so
 it prints their bits and raises their errors. A matrix command checks
 its matrix once (``_checked``), decides its kind once from that report
@@ -127,9 +127,12 @@ def _quat_from_obj(obj) -> list:
     if not isinstance(obj, dict) or set(obj) != {"w", "x", "y", "z"}:
         raise ParseError('quaternion must be an object with keys "w","x","y","z"')
     try:
-        return [float(obj[k]) for k in ("w", "x", "y", "z")]
+        q, shape = _floats._array([obj[k] for k in ("w", "x", "y", "z")])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad quaternion component: {exc}") from exc
+    if shape != (4,):
+        raise ParseError(f"bad quaternion component: expected 4 numbers, got shape {shape}")
+    return q
 
 
 def parse_quaternion(text: str, fmt: str) -> list:
@@ -158,8 +161,7 @@ def parse_quaternion_pair(text: str, fmt: str):
 
 
 def _vec4(q) -> list:
-    """q, after the finiteness check that ``linalg._float_rows`` makes of a
-    quaternion argument of the scalar API."""
+    """q, checked finite as ``linalg._float_rows`` checks a scalar API quaternion."""
     _floats._require_finite(q, "vec4")
     return q
 

@@ -12,8 +12,7 @@ stack's shape.
 A plain ValueError comes from a ``tol`` outside (0, 1) (or not a number),
 a ``dim`` other than 3 or 4 and a seed that is not an integer in
 [0, 2**64); an AttributeError from an ``rng`` that is not an
-``Xorshift64Star``; numpy's TypeError from ``batch_euler_rodrigues`` given
-a bool stack. ``except ValueError`` catches all but the last two.
+``Xorshift64Star``. ``except ValueError`` catches all but the last.
 """
 
 

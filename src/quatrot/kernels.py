@@ -3,11 +3,11 @@
 Batch layouts: quaternions (n, 4) in (w, x, y, z) order, matrices
 (n, 3, 3) or (n, 4, 4). Each kernel checks only that every argument is
 an ndarray of real numbers (bool, int or float dtype) in its layout, with
-the same n for both arguments of compose (``_stack``: it converts nothing
-and reads no row), and raises NonFiniteInput naming the argument
-otherwise. Beyond that the kernels trust their inputs (finite rows,
-rotations where that matters) and report residuals instead of raising;
-row validation and its errors live in the scalar API of rot3/rot4.
+the same n for both arguments of compose (``_stack``), else raises
+NonFiniteInput naming it; it reads each block as float64 (``_blocked``),
+so a stack of any dtype gives its float64 cast's bytes. Beyond that the
+kernels trust their inputs (finite rows, rotations where that matters)
+and report residuals; row validation and errors live in rot3/rot4.
 
 Block contract: each kernel allocates its outputs once, then runs its
 formula over consecutive blocks of at most ``_BLOCK`` rows and writes
@@ -79,8 +79,8 @@ _COMPOSE = np.ascontiguousarray(4.0 * _ASSOC.T)
 
 
 def _stack(x, name: str, shape: tuple, n=None) -> int:
-    """The row count of x, an (n, *shape) ndarray of real numbers, n given or
-    any; NonFiniteInput naming ``name`` for anything else."""
+    """The row count of x, an (n, *shape) ndarray of real numbers (its blocks
+    are read as float64), n given or any; NonFiniteInput naming ``name`` else."""
     real = isinstance(x, np.ndarray) and x.dtype.kind in "biuf"  # bool, int, unsigned or float
     if not (real and x.shape[1:] == shape) or n not in (None, len(x)):
         layout = ", ".join(map(str, ("n" if n is None else n, *shape)))
@@ -90,11 +90,10 @@ def _stack(x, name: str, shape: tuple, n=None) -> int:
 
 def _blocked(kernel, inputs: tuple, outputs: tuple) -> tuple:
     """Call kernel(*input_rows, *output_rows) on consecutive slices of at
-    most _BLOCK rows; kernel writes its results into the output rows."""
-    n = inputs[0].shape[0]
-    for start in range(0, n, _BLOCK):
+    most _BLOCK rows, read as float64 (a float64 stack is not copied)."""
+    for start in range(0, len(inputs[0]), _BLOCK):
         rows = slice(start, start + _BLOCK)
-        kernel(*(x[rows] for x in inputs), *(y[rows] for y in outputs))
+        kernel(*(x[rows].astype(np.float64, copy=False) for x in inputs), *(y[rows] for y in outputs))
     return outputs
 
 

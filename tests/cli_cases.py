@@ -103,6 +103,36 @@ def cli_calls(inp: dict):
         yield f"cli/m4/nan/{argv[0]}", argv, text(nan4)
     for argv in (["classify", "--tol", "0.5"], ["verify", "--tol", "0.5"]):
         yield f"cli/scaled/{' '.join(argv)}", argv, text(inp["scaled3"][0])
+    yield from _quaternion_calls(inp)
+
+
+def _quaternion_calls(inp: dict):
+    """quat2mat and compose4 on valid, near-unit and non-unit quaternions,
+    in JSON and plain text, and on JSON components that are not numbers."""
+    def quat(q):
+        return dict(zip("wxyz", q))
+
+    def plain(*qs):
+        return "\n".join(" ".join(map(repr, q)) for q in qs)
+
+    quats = {"unit": inp["quats"][13], "near_unit": inp["near_unit"][10], "not_unit": inp["not_unit"][1]}
+    right = inp["quats"][22]
+    for label, q in quats.items():
+        stdin = json.dumps({"quaternion": quat(q)})
+        for argv in (["quat2mat"], ["quat2mat", "--kind", "rotoreflection"]):
+            yield f"cli/quat/{label}/{' '.join(argv)}", argv, stdin
+        yield f"cli/quat/{label}/quat2mat --format plain", ["quat2mat", "--format", "plain"], plain(q)
+        yield f"cli/quat/{label}/compose4", ["compose4"], json.dumps({"left": quat(q), "right": quat(right)})
+        argv = ["compose4", "--format", "plain"]
+        yield f"cli/quat/{label}/compose4 --format plain", argv, plain(right, q)
+    # a null component reads as NaN; an integer beyond the float range and
+    # a string that is not a number are parse errors
+    unit = json.dumps(quat(right))
+    for label, entry in (("null", "null"), ("huge", "1" + "0" * 400), ("string", '"one"')):
+        bad = '{"w": %s, "x": 0, "y": 0, "z": 0}' % entry
+        yield f"cli/quat/{label}/quat2mat", ["quat2mat"], '{"quaternion": %s}' % bad
+        yield f"cli/quat/{label}/compose4 left", ["compose4"], '{"left": %s, "right": %s}' % (bad, unit)
+        yield f"cli/quat/{label}/compose4 right", ["compose4"], '{"left": %s, "right": %s}' % (unit, bad)
 
 
 def cli_outcome(argv, stdin):

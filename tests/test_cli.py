@@ -486,6 +486,34 @@ def test_an_integer_too_large_for_a_float_is_a_parse_error(args, text, detail, m
     assert json.loads(err) == {"error": "parse_error", "detail": f"{detail}: int too large to convert to float"}
 
 
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["quat2mat"], '{"quaternion": {"w": null, "x": 0, "y": 0, "z": 0}}'),
+        (["compose4"], '{"left": {"w": 1, "x": null, "y": 0, "z": 0}, "right": {"w": 1, "x": 0, "y": 0, "z": 0}}'),
+        (["compose4"], '{"left": {"w": 1, "x": 0, "y": 0, "z": 0}, "right": {"w": 1, "x": 0, "y": 0, "z": null}}'),
+    ],
+)
+def test_a_null_quaternion_component_is_non_finite(args, text, monkeypatch, capsys):
+    """Quaternions are read as matrices are (_floats._array): null is NaN."""
+    code, out, err = run_cli(args, text, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "non_finite", "detail": "vec4: entries must be finite"}
+
+
+@pytest.mark.parametrize(
+    "quaternion, detail",
+    [
+        ('{"w": [1], "x": 0, "y": 0, "z": 0}', "rows of different shapes [(), (1,)]"),
+        ('{"w": [1], "x": [0], "y": [0], "z": [0]}', "expected 4 numbers, got shape (4, 1)"),
+    ],
+)
+def test_a_list_quaternion_component_is_a_parse_error(quaternion, detail, monkeypatch, capsys):
+    code, out, err = run_cli(["quat2mat"], quaternion, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "parse_error", "detail": f"bad quaternion component: {detail}"}
+
+
 # --- no CLI process imports numpy ---------------------------------------------
 
 NO_NUMPY_CASES = {name: (*case, 0, None) for name, case in GOLDEN_CASES.items()}
@@ -495,6 +523,7 @@ NO_NUMPY_CASES.update(
         "bad_flag": (["random", "--seed", "abc"], "", 2, "parse_error"),
         "parse_error": (["mat2quat"], "this is not json", 2, "parse_error"),
         "non_finite": (["mat2quat"], '{"matrix": [[null, 0, 0], [0, 1, 0], [0, 0, 1]]}', 2, "non_finite"),
+        "null_component": (["quat2mat"], '{"w": null, "x": 0, "y": 0, "z": 0}', 2, "non_finite"),
         "not_a_rotation": (["decompose4"], json.dumps({"matrix": np.diag([-1.0, 1, 1, 1]).tolist()}), 3, "not_a_rotation"),
     }
 )

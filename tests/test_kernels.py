@@ -1,6 +1,7 @@
 """Batch/scalar parity: the vectorized kernels must agree with the scalar
 API, including the sign rule they share."""
 
+import functools
 import math
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -193,17 +194,43 @@ def test_compose_needs_as_many_right_rows_as_left_rows(rows):
 
 @pytest.mark.parametrize("name", _KERNELS)
 def test_bool_int_and_float32_stacks_still_run(name):
-    """None is converted: int stacks give their float64 values' bytes, bool
-    and float32 ones still run (numpy cannot subtract bools, so
-    batch_euler_rodrigues raises its TypeError on them)."""
-    fn, args, spec = _kernel_calls(*(np.sign(x) for x in _noisy_stack(908, 5)))[name]  # entries -1, 0, 1
-    for dtype in (np.int64, bool, np.float32):
-        if dtype is bool and name == "euler_rodrigues":
-            continue
-        got = _outputs(fn(*(x.astype(dtype) for x in args)))
+    """Every kernel reads its blocks as float64: an int64, float32 or bool
+    stack gives the bytes of that stack cast to float64."""
+    fn, args, spec = _kernel_calls(*(4 * x for x in _noisy_stack(908, 5)))[name]  # int64 entries -3 to 3
+    for dtype in (np.int64, np.float32, bool):
+        stacks = [x.astype(dtype) for x in args]
+        got = _outputs(fn(*stacks))
         assert [(o.shape, o.dtype) for o in got] == [((5,) + shape, dt) for shape, dt in spec]
-        if dtype is np.int64:
-            assert [o.tobytes() for o in got] == [o.tobytes() for o in _outputs(fn(*args))]
+        want = _outputs(fn(*(x.astype(np.float64) for x in stacks)))
+        assert [o.tobytes() for o in got] == [o.tobytes() for o in want], dtype
+
+
+def test_int_rows_are_squared_as_float64():
+    """2**40 squared is 2**80, beyond int64: read as float64 it does not wrap."""
+    q = np.array([[2**40, 0, 0, 0]])
+    got = kernels.batch_euler_rodrigues(q)
+    assert got[0, 0, 0] == 2.0**80
+    assert got.tobytes() == kernels.batch_euler_rodrigues(q.astype(np.float64)).tobytes()
+
+
+_TERM = st.one_of(st.floats(-2, 2), st.just(math.nan))
+
+
+@settings(deadline=None)
+@given(st.lists(_TERM, min_size=20, max_size=20), st.integers(1, 4))
+def test_residual_is_the_fold_of_two_argument_maxima(entries, width):
+    """_residual reduces its 16 terms once, with the bytes of the fold
+    through 15 two-argument maxima (builtin max on floats, np.maximum on
+    component rows), NaN at any position included."""
+    def split(values):  # a 4x4 table and q
+        return [values[4 * i : 4 * i + 4] for i in range(4)], values[16:]
+
+    def fold(table, q, maximum):
+        return functools.reduce(maximum, [abs(qi * qj - t) for qi, row in zip(q, table) for qj, t in zip(q, row)])
+
+    assert np.float64(_floats._residual(*split(entries))).tobytes() == np.float64(fold(*split(entries), max)).tobytes()
+    rows = list(np.array([np.roll(entries, k) for k in range(width)]).T)  # column k: entries rolled by k
+    assert _floats._residual(*split(rows), np).tobytes() == fold(*split(rows), np.maximum).tobytes()
 
 
 def test_strided_and_fortran_inputs_match_contiguous_copies(block_stack):
