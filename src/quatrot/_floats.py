@@ -28,7 +28,8 @@ expansions along row 0 (for 4x4, each 3x3 minor expanded the same way,
 the four terms added from 0.0 in column order); matrix products and the
 quaternion norm add their terms left to right starting from 0.0, so an
 entry whose products are all -0.0 is 0.0; the Gram deviation is the
-largest |(A^T A - I)[i][j]|, NaN when an entry is NaN, as numpy's max;
+largest |(A^T A - I)[i][j]| over the upper triangle's column products
+(the lower one repeats them), NaN when an entry is NaN, as numpy's max;
 the reconstruction error adds its 16 squares in the order of numpy's
 pairwise sum. Python's ``sum`` is not used: from Python 3.12 it adds
 floats with compensation, which gives other bits.
@@ -150,30 +151,40 @@ def _mat_mul(rows, cols) -> list:
     ]
 
 
-def _gram(rows) -> list:
-    """A^T A of the matrix with rows ``rows``: the product of its columns."""
-    cols = list(zip(*rows))
-    return _mat_mul(cols, cols)
-
-
-def _gram_deviation(gram) -> float:
-    """max |gram[i][j] - (i == j)| over i <= j of a Gram matrix given as rows:
-    (i, j) and (j, i) add the same products in the same order, so they are equal."""
-    devs = [abs(row[j] - (i == j)) for i, row in enumerate(gram) for j in range(i, len(row))]
+def _orthogonality(rows, tol: float) -> OrthogonalityReport:
+    """The gate's report on the finite 3x3 or 4x4 matrix with rows ``rows`` at
+    tolerance tol. Only the Gram entries i <= j are formed, columns i and j
+    added from 0.0 as ``_mat_mul`` adds them ((j, i) would repeat (i, j))."""
+    if len(rows) == 3:
+        (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = rows  # a, b, c are the columns
+        devs = (
+            abs(0.0 + a0 * a0 + a1 * a1 + a2 * a2 - 1.0), abs(0.0 + a0 * b0 + a1 * b1 + a2 * b2),
+            abs(0.0 + a0 * c0 + a1 * c1 + a2 * c2), abs(0.0 + b0 * b0 + b1 * b1 + b2 * b2 - 1.0),
+            abs(0.0 + b0 * c0 + b1 * c1 + b2 * c2), abs(0.0 + c0 * c0 + c1 * c1 + c2 * c2 - 1.0),
+        )
+        det = _det3(rows)
+    else:
+        (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3) = rows
+        devs = (
+            abs(0.0 + a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 - 1.0),
+            abs(0.0 + a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3),
+            abs(0.0 + a0 * c0 + a1 * c1 + a2 * c2 + a3 * c3),
+            abs(0.0 + a0 * d0 + a1 * d1 + a2 * d2 + a3 * d3),
+            abs(0.0 + b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3 - 1.0),
+            abs(0.0 + b0 * c0 + b1 * c1 + b2 * c2 + b3 * c3),
+            abs(0.0 + b0 * d0 + b1 * d1 + b2 * d2 + b3 * d3),
+            abs(0.0 + c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3 - 1.0),
+            abs(0.0 + c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3),
+            abs(0.0 + d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 - 1.0),
+        )
+        det = _det4(rows)
     dev = max(devs)
     if not dev < math.inf:
         # Python's max keeps a NaN only when it comes first; numpy's max
         # returns it from anywhere. A NaN entry (inf - inf) comes with an
         # infinite one, so only an infinite max needs the scan.
         dev = next((d for d in devs if d != d), dev)
-    return dev
-
-
-def _orthogonality(rows, gram, tol: float) -> OrthogonalityReport:
-    """The gate's report on the finite matrix with rows ``rows``, whose
-    Gram matrix is ``gram`` (``_gram(rows)``'s entries), at tolerance tol."""
-    det = _det3(rows) if len(rows) == 3 else _det4(rows)
-    return OrthogonalityReport(_gram_deviation(gram), det, tol)
+    return OrthogonalityReport(dev, det, tol)
 
 
 def _require_orthonormal(report: OrthogonalityReport, error: type[QuatrotError]) -> None:
@@ -190,7 +201,7 @@ def _require_orthonormal(report: OrthogonalityReport, error: type[QuatrotError])
 
 class _Floats:
     """numpy's ``where``, ``sqrt``, ``maximum`` and ``max`` on Python floats:
-    the policies run on floats with these, and in ``kernels`` with numpy's."""
+    the policies run on floats with these, and in ``kernels`` with ``_Rows``."""
 
     @staticmethod
     def where(take, a, b):
@@ -349,7 +360,9 @@ def _kind(report: OrthogonalityReport, error: type[QuatrotError] = NotOrthogonal
 
 
 def _as_kind(kind) -> IsometryKind:
-    """IsometryKind(kind): a member or its value; KindMismatch for anything else."""
+    """IsometryKind(kind): a member as it is, or its value; KindMismatch for anything else."""
+    if type(kind) is IsometryKind:
+        return kind
     try:
         return IsometryKind(kind)
     except ValueError:
@@ -362,12 +375,20 @@ def _require_kind(report: OrthogonalityReport, kind: IsometryKind) -> None:
         raise KindMismatch(f"determinant {report.determinant!r} does not match kind {kind.value}")
 
 
+# Per kind: the embedding's corner a00, and what the kind's extractor
+# raises, with its message for the other kind.
+_CORNER = {IsometryKind.ROTATION: 1.0, IsometryKind.ROTOREFLECTION: -1.0}
+_EXTRACT_ERRORS = {
+    IsometryKind.ROTATION: (NotARotation, "determinant is -1; use extract_rotoreflection"),
+    IsometryKind.ROTOREFLECTION: (NotARotoreflection, "determinant is +1; use extract_rotation"),
+}
+
+
 def _embedding(rows, kind: IsometryKind) -> list:
     """Rows of the 4D rotation embedding the 3x3 isometry with rows
     ``rows`` (floats or arrays): corner +1 for a rotation, -1 for a
     rotoreflection, and a zero border of floats."""
-    corner = 1.0 if kind is IsometryKind.ROTATION else -1.0
-    return [[corner, 0.0, 0.0, 0.0]] + [[0.0, *row] for row in rows]
+    return [[_CORNER[kind], 0.0, 0.0, 0.0]] + [[0.0, *row] for row in rows]
 
 
 def _products(rows, kind: IsometryKind) -> list:
@@ -384,28 +405,28 @@ def _products(rows, kind: IsometryKind) -> list:
 
 def _residual(table, q, xp=_Floats):
     """The largest |q_i q_j - table[i][j]| in one reduction: the ten
-    equations, each off-diagonal one met twice."""
-    terms = [abs(qi * qj - t) for qi, row in zip(q, table) for qj, t in zip(q, row)]
+    equations, each off-diagonal one met twice, written out row-major."""
+    (t00, t01, t02, t03), (t10, t11, t12, t13), (t20, t21, t22, t23), (t30, t31, t32, t33) = table
+    q0, q1, q2, q3 = q
+    terms = [
+        abs(q0 * q0 - t00), abs(q0 * q1 - t01), abs(q0 * q2 - t02), abs(q0 * q3 - t03),
+        abs(q1 * q0 - t10), abs(q1 * q1 - t11), abs(q1 * q2 - t12), abs(q1 * q3 - t13),
+        abs(q2 * q0 - t20), abs(q2 * q1 - t21), abs(q2 * q2 - t22), abs(q2 * q3 - t23),
+        abs(q3 * q0 - t30), abs(q3 * q1 - t31), abs(q3 * q2 - t32), abs(q3 * q3 - t33),
+    ]
     return xp.max(terms, axis=0)
 
 
 def _solve(table, xp=_Floats) -> tuple:
     """(branch, q, residual) from the table of products q_i q_j: seed from
     the largest square, divide its row by the seed, apply the sign rule and
-    measure the ten equations; ``xp`` is numpy on a block's component rows."""
+    measure the ten equations; ``xp`` is ``kernels._Rows`` on component rows."""
     branch, square, row = _first_max([table[i][i] for i in range(4)], table, xp.where)
     seed = xp.sqrt(xp.maximum(square, 0.0))
     q = [xp.where(i == branch, seed, t / seed) for i, t in enumerate(row)]
     sign = _sign(q, xp.where)
     q = [c * sign for c in q]
     return branch, q, _residual(table, q, xp)
-
-
-# What each kind's extractor raises, and its message for the other kind.
-_EXTRACT_ERRORS = {
-    IsometryKind.ROTATION: (NotARotation, "determinant is -1; use extract_rotoreflection"),
-    IsometryKind.ROTOREFLECTION: (NotARotoreflection, "determinant is +1; use extract_rotation"),
-}
 
 
 def _extract(rows, report: OrthogonalityReport, kind: IsometryKind):
@@ -442,33 +463,20 @@ def _rotation_angle(rows, kind: IsometryKind) -> tuple:
 def _associate(rows) -> list:
     """Rows of the associate matrix of the 4x4 matrix with rows ``rows``."""
     (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
-    sums = (
-        (
-            a00 + a11 + a22 + a33,
-            a10 - a01 - a32 + a23,
-            a20 + a31 - a02 - a13,
-            a30 - a21 + a12 - a03,
-        ),
-        (
-            a10 - a01 + a32 - a23,
-            -a00 - a11 + a22 + a33,
-            a30 - a21 - a12 + a03,
-            -a20 - a31 - a02 - a13,
-        ),
-        (
-            a20 - a31 - a02 + a13,
-            -a30 - a21 - a12 - a03,
-            -a00 + a11 - a22 + a33,
-            a10 + a01 - a32 - a23,
-        ),
-        (
-            a30 + a21 - a12 - a03,
-            a20 - a31 + a02 - a13,
-            -a10 - a01 - a32 - a23,
-            -a00 + a11 + a22 - a33,
-        ),
-    )
-    return [[0.25 * s for s in row] for row in sums]
+    return [
+        [0.25 * s for s in (
+            a00 + a11 + a22 + a33, a10 - a01 - a32 + a23, a20 + a31 - a02 - a13, a30 - a21 + a12 - a03,
+        )],
+        [0.25 * s for s in (
+            a10 - a01 + a32 - a23, -a00 - a11 + a22 + a33, a30 - a21 - a12 + a03, -a20 - a31 - a02 - a13,
+        )],
+        [0.25 * s for s in (
+            a20 - a31 - a02 + a13, -a30 - a21 - a12 - a03, -a00 + a11 - a22 + a33, a10 + a01 - a32 - a23,
+        )],
+        [0.25 * s for s in (
+            a30 + a21 - a12 - a03, a20 - a31 + a02 - a13, -a10 - a01 - a32 - a23, -a00 + a11 + a22 - a33,
+        )],
+    ]
 
 
 def _compose(l, r) -> list:

@@ -183,7 +183,7 @@ def _checked(args, text, dim=None):
     if dim is not None and n != dim:
         raise ParseError(f"{args.command} needs a {dim}x{dim} matrix, got {n}x{n}")
     _floats._require_finite([x for row in rows for x in row], f"mat{n}")
-    return rows, _floats._orthogonality(rows, _floats._gram(rows), args.tol)
+    return rows, _floats._orthogonality(rows, args.tol)
 
 
 def _cmd_mat2quat(args, text):

@@ -32,7 +32,8 @@ copies of them: Euler-Rodrigues evaluates ``_floats._er_entries`` on the
 block's component rows; extract reads its table of products q_i q_j with
 ``_floats._products`` (the associate formula on the a00 = +1 embedding,
 whose border is Python floats) and takes the seed, the sign and the
-residual from ``_floats._solve`` given numpy. Decompose keeps only its
+residual from ``_floats._solve`` given ``_Rows``, numpy's namespace with
+a ``max`` that folds the terms, not a (16, b) stack. Decompose keeps only its
 power steps: its seed column and sign come from ``_floats._first_max``
 and ``_floats._sign`` with np.where.
 
@@ -78,6 +79,20 @@ _ASSOC = np.array([_floats._associate(e.reshape(4, 4).tolist()) for e in np.eye(
 _COMPOSE = np.ascontiguousarray(4.0 * _ASSOC.T)
 
 
+class _Rows:
+    """``_floats._solve``'s namespace on component rows: numpy's ``where``, ``sqrt``
+    and ``maximum``, and a ``max`` that folds the terms into one row, as np.max."""
+
+    where, sqrt, maximum = staticmethod(np.where), np.sqrt, np.maximum
+
+    @staticmethod
+    def max(terms, axis):
+        acc = np.maximum(terms[0], terms[1])
+        for t in terms[2:]:
+            np.maximum(acc, t, out=acc)
+        return acc
+
+
 def _stack(x, name: str, shape: tuple, n=None) -> int:
     """The row count of x, an (n, *shape) ndarray of real numbers (its blocks
     are read as float64), n given or any; NonFiniteInput naming ``name`` else."""
@@ -120,7 +135,7 @@ def batch_euler_rodrigues(q: np.ndarray) -> np.ndarray:
 
 def _extract_rotation(m, q_out, branch_out, residual_out) -> None:
     table = _floats._products(_component_major(m).reshape(3, 3, -1), IsometryKind.ROTATION)
-    branch, q, residual_out[:] = _floats._solve(table, np)
+    branch, q, residual_out[:] = _floats._solve(table, _Rows)
     q_out[:] = np.array(q).T
     branch_out[:] = branch
 

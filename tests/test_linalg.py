@@ -1,12 +1,13 @@
+import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatrot import rot3, rot4
-from quatrot._floats import _gram, _gram_deviation
+from quatrot._floats import _det3, _det4, _mat_mul, _orthogonality
 from quatrot.errors import NonFiniteInput, ZeroMatrix
 from quatrot.linalg import (
     _float_rows,
@@ -127,11 +128,12 @@ def _bits(x: float) -> bytes:
 @st.composite
 def _gate_inputs(draw):
     """A finite 3x3 or 4x4 matrix: an exact or noisy rotation, one of
-    signed zeros and ones, a rotation scaled to about 1e154 (where Gram
-    entries overflow and the deviation turns NaN), or any finite floats."""
+    signed zeros and ones, one of subnormals, signed zeros and ones, a
+    rotation scaled to about 1e154 or 1e200 (where Gram entries overflow
+    and the deviation turns NaN), or any finite floats."""
     n = draw(st.sampled_from((3, 4)))
     m = random_rotation(draw(st.integers(0, 2**64 - 1)), n)
-    form = draw(st.sampled_from(("exact", "noisy", "signed_zeros", "huge", "any")))
+    form = draw(st.sampled_from(("exact", "noisy", "signed_zeros", "subnormal", "huge", "1e200", "any")))
     if form == "noisy":
         noise = draw(st.sampled_from((1e-15, 1e-12, 1e-9, 1e-6, 1e-3)))
         unit = np.array(draw(st.lists(st.floats(-1, 1), min_size=n * n, max_size=n * n)))
@@ -139,8 +141,13 @@ def _gate_inputs(draw):
     elif form == "signed_zeros":
         m = np.array(draw(st.lists(st.sampled_from((0.0, -0.0, 1.0, -1.0)), min_size=n * n, max_size=n * n)))
         m = m.reshape(n, n)
+    elif form == "subnormal":
+        tiny = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324)), st.floats(-2.2e-308, 2.2e-308))
+        m = np.array(draw(st.lists(tiny, min_size=n * n, max_size=n * n))).reshape(n, n)
     elif form == "huge":
         m = m * draw(st.floats(1e153, 1e155))
+    elif form == "1e200":
+        m = m * draw(st.floats(1e199, 1e201))
     elif form == "any":
         finite = st.floats(allow_nan=False, allow_infinity=False)
         m = np.array(draw(st.lists(finite, min_size=n * n, max_size=n * n))).reshape(n, n)
@@ -153,9 +160,41 @@ def test_report_on_the_rows_is_check_orthonormal_bytes(case):
     n = len(m)
     rows = _float_rows(m, (n, n), f"mat{n}")
     assert [_bits(x) for x in _report(rows, tol)] == [_bits(x) for x in check_orthonormal(m, tol)]
-    # the upper triangle gives the full Gram matrix's max, NaN included
-    gram = _gram(rows)
-    assert _bits(_gram_deviation(gram)) == _bits(np.max(np.abs(np.array(gram) - np.eye(n))))
+
+
+def _gate_oracle(rows) -> tuple:
+    """(deviation, determinant) from the full Gram matrix: the product of
+    the columns by ``_mat_mul``, then max |G - I| over all 9 or 16 entries,
+    NaN if any entry is NaN (numpy's max)."""
+    cols = list(zip(*rows))
+    devs = [abs(g - (i == j)) for i, row in enumerate(_mat_mul(cols, cols)) for j, g in enumerate(row)]
+    dev = math.nan if any(d != d for d in devs) else max(devs)
+    return dev, (_det3(rows) if len(rows) == 3 else _det4(rows))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_gate_reads_each_gram_entry(n):
+    """Column j of I moved by 2**-10 along column i: Gram entry (i, j) alone
+    sets the deviation (2**-10, or 2**-9 + 2**-20 on the diagonal)."""
+    for i in range(n):
+        for j in range(i, n):
+            rows = np.eye(n)
+            rows[i, j] += 2.0**-10
+            rows = rows.tolist()
+            assert _bits(_orthogonality(rows, 1e-9)[0]) == _bits(_gate_oracle(rows)[0]), (i, j)
+            assert _orthogonality(rows, 1e-9)[0] == (2.0**-10 if i < j else 2.0**-9 + 2.0**-20)
+
+
+@settings(max_examples=400)
+@given(_gate_inputs())
+def test_the_gate_reads_the_full_gram_matrix_from_its_upper_triangle(case):
+    """_orthogonality forms only the entries i <= j of A^T A, and gives the
+    bytes of the full product's deviation, signed zeros, subnormals and
+    overflow (inf - inf = NaN) included."""
+    m, tol = case
+    rows = m.tolist()
+    report = _orthogonality(rows, tol)
+    assert [_bits(x) for x in report] == [_bits(x) for x in (*_gate_oracle(rows), tol)]
 
 
 def test_det_oracle_against_numpy():

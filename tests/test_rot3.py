@@ -19,7 +19,7 @@ from quatrot.linalg import OrthogonalityReport
 from quatrot.quaternion import conjugate
 from quatrot.rot4 import associate_matrix
 from quatrot.rng import Xorshift64Star, random_unit_quaternion
-from quatrot._floats import _products
+from quatrot._floats import _embedding, _products
 from quatrot.rot3 import (
     IsometryKind,
     _extract,
@@ -330,6 +330,21 @@ def test_embed_trivial():
         embed_4d(np.diag([1.0, 1.0, -1.0]), IsometryKind.ROTOREFLECTION),
         np.diag([-1.0, 1.0, 1.0, -1.0]),
     )
+
+
+@pytest.mark.parametrize("kind", list(IsometryKind))
+def test_embed_returns_a_new_float64_array_with_the_embedding_bytes(kind):
+    """A C-contiguous float64 array of its own, whose bytes are those of
+    the embedding's rows (signed zeros of m included)."""
+    m = Z_QUARTER * (1.0 if kind is IsometryKind.ROTATION else -1.0)
+    m[2, 0] = -0.0
+    before = m.tobytes()
+    out = embed_4d(m, kind)
+    assert out.dtype == np.float64 and out.flags.c_contiguous and out.flags.owndata
+    assert not np.shares_memory(out, m)
+    assert out.tobytes() == np.array(_embedding(m.tolist(), kind)).tobytes()
+    out[1:, 1:] = 7.0
+    assert m.tobytes() == before
 
 
 def test_embed_kind_mismatch():

@@ -48,8 +48,11 @@ def _near_unit(g, n):
 
 
 def test_compose_normalizes_each_factor_once():
+    """compose_4d gives the bytes of mat_mul(left_matrix(l), right_matrix(r)),
+    near-unit factors, signed zeros and lists included."""
     g = np.random.default_rng(0)
-    for l, r in zip(_near_unit(g, 200), _near_unit(g, 200)):
+    signed = [[0.0, -0.0, 1.0, -0.0], [-0.0, 0.6, -0.0, -0.8], [S2, -0.0, -S2, 0.0]]
+    for l, r in [*zip(_near_unit(g, 200), _near_unit(g, 200)), *zip(signed, signed[::-1])]:
         want = mat_mul(left_matrix(l), right_matrix(r))
         assert compose_4d(l, r).tobytes() == want.tobytes()
 
