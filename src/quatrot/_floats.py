@@ -10,17 +10,17 @@ extraction reads on the embedding), the 4D factor step, the compose
 product, the reconstruction error and the seeded unit-quaternion draw.
 Each matrix gets one verdict: ``_kind`` decides a 3x3 report (off the
 gate, indeterminate, or its kind) and ``_factor`` gates and factors a
-4x4 one for both ``rot4.decompose_4d`` and the CLI; the angle core and
-``_embedding`` trust the kind they are handed. This module imports only
-math, quatrot's errors, and enum, collections (whose ``namedtuple``
-makes ``OrthogonalityReport``) and operator, which the CLI's
-json loads anyway: no numpy and no dataclasses, so ``python -m quatrot``
-runs on it alone. ``_array`` reads the CLI's matrices and every scalar
-API argument that is not a float64 ndarray; the public functions call
-these cores on the floats read and return ``np.array`` of the result;
-``kernels`` runs the row formulas (``_er_entries``, ``_products``,
-``_ordered_sum``) and the policies (the tie rule ``_first_max``, the
-sign rule ``_sign``, the solve ``_solve``) on its blocks' component rows.
+4x4 one for both ``rot4.decompose_4d`` and the CLI. A value passes a
+tolerance only as ``value <= tol``, so a NaN fails every verdict. This
+module imports only math, enum, operator, collections and quatrot's
+errors: no numpy and no dataclasses, so ``python -m quatrot`` runs on it
+alone. ``_array`` reads the CLI's matrices and every scalar API argument
+that is not a float64 ndarray. ``kernels`` runs the row formulas
+(``_er_entries``, ``_products``, ``_ordered_sum``) and the policies
+(the tie rule ``_first_max``, the sign rule ``_sign``, the solve
+``_solve``) on component rows: the policies take the namespace ``xp``,
+``_Floats`` here and ``kernels._Rows`` there, and the NaN rule the cores
+keep, numpy's, is stated once, in those two.
 
 The summation order is fixed, so results are bit-stable and equal to
 the numpy code these cores replaced: determinants are cofactor
@@ -29,10 +29,10 @@ the four terms added from 0.0 in column order); matrix products and the
 quaternion norm add their terms left to right starting from 0.0, so an
 entry whose products are all -0.0 is 0.0; the Gram deviation is the
 largest |(A^T A - I)[i][j]| over the upper triangle's column products
-(the lower one repeats them), NaN when an entry is NaN, as numpy's max;
-the reconstruction error adds its 16 squares in the order of numpy's
-pairwise sum. Python's ``sum`` is not used: from Python 3.12 it adds
-floats with compensation, which gives other bits.
+(the lower one repeats them); the reconstruction error adds its 16
+squares in the order of numpy's pairwise sum. No result is a Python
+``sum``: from Python 3.12 it adds floats with compensation, which gives
+other bits.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ DEFAULT_TOL = 1e-9
 # Quaternions, quaternion pairs and rank-1 factors are defined up to a
 # global sign; the representative has its first component with magnitude
 # above SIGN_EPS positive. _sign is that rule, on floats and, with
-# np.where, on each column of a kernels block.
+# kernels._Rows, on each column of a kernels block.
 SIGN_EPS = 1e-12
 
 UNIT_WINDOW = 1e-6
@@ -83,8 +83,9 @@ class OrthogonalityReport(
 ):
     """Result of an orthonormality check.
 
-    max_abs_gram_deviation is the largest |(A^T A - I)[i][j]|; callers
-    compare it against their own tolerance to accept or reject.
+    max_abs_gram_deviation is the largest |(A^T A - I)[i][j]|, and
+    ``is_orthonormal`` is the gate's verdict on it: within tolerance_used,
+    so a NaN deviation fails.
     """
 
     __slots__ = ()
@@ -123,6 +124,32 @@ def _array(data, depth: int = 0):
     return [values for values, _ in items], (len(data), *shapes.pop())
 
 
+class _Floats:
+    """numpy's ``where``, ``sqrt``, ``maximum`` and ``max`` on Python floats,
+    for the cores that take a namespace ``xp`` (``kernels._Rows`` on rows).
+    NaN rule, numpy's: ``maximum(a, b)`` is NaN when a or b is, and ``max``,
+    the fold of ``maximum``, is the first NaN term wherever it is (builtin
+    ``max`` keeps a NaN only first). Equal values give the first; numpy may
+    give the other zero of a 0.0, -0.0 tie, which no core's ``abs`` terms make."""
+
+    @staticmethod
+    def where(take, a, b):
+        return a if take else b
+
+    @staticmethod
+    def maximum(a, b):
+        return a if a >= b or a != a else b
+
+    @staticmethod
+    def max(terms):
+        total = sum(terms)  # NaN when a term is NaN (or inf meets -inf): only then scan
+        if total != total:
+            return next((t for t in terms if t != t), max(terms))
+        return max(terms)
+
+    sqrt = math.sqrt
+
+
 # --- the orthogonality gate -------------------------------------------------
 
 def _det3(rows) -> float:
@@ -154,7 +181,8 @@ def _mat_mul(rows, cols) -> list:
 def _orthogonality(rows, tol: float) -> OrthogonalityReport:
     """The gate's report on the finite 3x3 or 4x4 matrix with rows ``rows`` at
     tolerance tol. Only the Gram entries i <= j are formed, columns i and j
-    added from 0.0 as ``_mat_mul`` adds them ((j, i) would repeat (i, j))."""
+    added from 0.0 as ``_mat_mul`` adds them ((j, i) would repeat (i, j)).
+    The deviation is their ``_Floats.max``: NaN if an entry overflowed."""
     if len(rows) == 3:
         (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = rows  # a, b, c are the columns
         devs = (
@@ -178,20 +206,12 @@ def _orthogonality(rows, tol: float) -> OrthogonalityReport:
             abs(0.0 + d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3 - 1.0),
         )
         det = _det4(rows)
-    dev = max(devs)
-    if not dev < math.inf:
-        # Python's max keeps a NaN only when it comes first; numpy's max
-        # returns it from anywhere. A NaN entry (inf - inf) comes with an
-        # infinite one, so only an infinite max needs the scan.
-        dev = next((d for d in devs if d != d), dev)
-    return OrthogonalityReport(dev, det, tol)
+    return OrthogonalityReport(_Floats.max(devs), det, tol)
 
 
 def _require_orthonormal(report: OrthogonalityReport, error: type[QuatrotError]) -> None:
-    """Raise ``error`` unless the report's Gram deviation is within the
-    tolerance it was made with: a NaN deviation (a Gram entry overflowed)
-    fails too."""
-    if not report.max_abs_gram_deviation <= report.tolerance_used:
+    """Raise ``error`` unless ``report.is_orthonormal``."""
+    if not report.is_orthonormal:
         raise error(
             f"orthogonality deviation {report.max_abs_gram_deviation:.3e} > tol {report.tolerance_used:.3e}"
         )
@@ -199,39 +219,27 @@ def _require_orthonormal(report: OrthogonalityReport, error: type[QuatrotError])
 
 # --- the sign rule and the rank-1 step ----------------------------------------
 
-class _Floats:
-    """numpy's ``where``, ``sqrt``, ``maximum`` and ``max`` on Python floats:
-    the policies run on floats with these, and in ``kernels`` with ``_Rows``."""
-
-    @staticmethod
-    def where(take, a, b):
-        return a if take else b
-
-    sqrt, maximum = math.sqrt, max
-    max = staticmethod(lambda terms, axis: max(terms))  # the builtin max, called once
-
-
-def _first_max(keys, rows, where=_Floats.where) -> tuple:
+def _first_max(keys, rows, xp=_Floats) -> tuple:
     """(index, key, row): index is the first i with the largest keys[i]
     (strict >, as max(range(k), key=keys.__getitem__): ties go to the lower
-    index, NaN only at index 0), and row is rows[index]; per column on arrays."""
+    index, NaN only at index 0), and row is rows[index]; per column on rows."""
     index, key, row = 0, keys[0], rows[0]
     for i in range(1, len(keys)):
         take = keys[i] > key
-        index = where(take, i, index)
-        key = where(take, keys[i], key)
-        row = where(take, rows[i], row)
+        index = xp.where(take, i, index)
+        key = xp.where(take, keys[i], key)
+        row = xp.where(take, rows[i], row)
     return index, key, row
 
 
-def _sign(q, where=_Floats.where):
-    """``canonical_sign`` of q, per column on arrays: scanning back from the
+def _sign(q, xp=_Floats):
+    """``canonical_sign`` of q, per column on rows: scanning back from the
     last component, lead ends as the first one with magnitude above
     SIGN_EPS, or the last one when none is."""
     lead = q[-1]
     for comp in q[-2::-1]:
-        lead = where(abs(comp) > SIGN_EPS, comp, lead)
-    return where(lead < -SIGN_EPS, -1.0, 1.0)
+        lead = xp.where(abs(comp) > SIGN_EPS, comp, lead)
+    return xp.where(lead < -SIGN_EPS, -1.0, 1.0)
 
 
 def canonical_sign(q) -> float:
@@ -296,7 +304,7 @@ def _norm(q) -> float:
 def _unit(q) -> list:
     """The four floats of q divided by its norm; NotUnit outside the window."""
     n = _norm(q)
-    if abs(n - 1.0) > UNIT_WINDOW:
+    if not abs(n - 1.0) <= UNIT_WINDOW:
         raise NotUnit(f"quaternion norm {n!r} is not within {UNIT_WINDOW} of 1")
     return [c / n for c in q]
 
@@ -414,17 +422,17 @@ def _residual(table, q, xp=_Floats):
         abs(q2 * q0 - t20), abs(q2 * q1 - t21), abs(q2 * q2 - t22), abs(q2 * q3 - t23),
         abs(q3 * q0 - t30), abs(q3 * q1 - t31), abs(q3 * q2 - t32), abs(q3 * q3 - t33),
     ]
-    return xp.max(terms, axis=0)
+    return xp.max(terms)
 
 
 def _solve(table, xp=_Floats) -> tuple:
     """(branch, q, residual) from the table of products q_i q_j: seed from
     the largest square, divide its row by the seed, apply the sign rule and
     measure the ten equations; ``xp`` is ``kernels._Rows`` on component rows."""
-    branch, square, row = _first_max([table[i][i] for i in range(4)], table, xp.where)
+    branch, square, row = _first_max([table[i][i] for i in range(4)], table, xp)
     seed = xp.sqrt(xp.maximum(square, 0.0))
     q = [xp.where(i == branch, seed, t / seed) for i, t in enumerate(row)]
-    sign = _sign(q, xp.where)
+    sign = _sign(q, xp)
     q = [c * sign for c in q]
     return branch, q, _residual(table, q, xp)
 
@@ -437,9 +445,8 @@ def _extract(rows, report: OrthogonalityReport, kind: IsometryKind):
     if _kind(report, error) is not kind:
         raise error(other_kind)
     tol = report.tolerance_used
-    table = _products(rows, kind)
-    k, q, residual = _solve(table)
-    if residual > tol:
+    k, q, residual = _solve(_products(rows, kind))
+    if not residual <= tol:
         raise InconsistentSystem(f"ten-equation residual {residual:.3e} > tol {tol:.3e}")
     return q, BRANCHES[k], residual
 
@@ -501,10 +508,10 @@ def _factor(rows, report: OrthogonalityReport) -> tuple:
     both call it."""
     tol = report.tolerance_used
     _require_orthonormal(report, NotARotation)
-    if abs(report.determinant - 1.0) > tol:
+    if not abs(report.determinant - 1.0) <= tol:
         raise NotARotation(f"determinant {report.determinant!r} is not +1")
     u, v, residual = _rank1(_associate(rows), tol)
-    if residual > tol:
+    if not residual <= tol:
         raise RankDeficiency(f"rank-1 residual {residual:.3e} > tol {tol:.3e}")
     return u, v, residual
 

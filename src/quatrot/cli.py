@@ -11,13 +11,11 @@ round-trip through double precision exactly.
 The CLI process imports json, math, sys and quatrot's ``_floats`` and
 ``errors`` (re and types, which it also uses, come with json): no
 numpy, argparse or dataclasses. It reads its matrix and quaternions with
-``_floats._array``, the scalar API's reader (JSON null is NaN), rejects
-non-finite entries with ``math.isfinite``, and calls the float cores of
-``_floats``, which the public functions of rot3, rot4 and rng wrap, so
-it prints their bits and raises their errors. A matrix command checks
-its matrix once (``_checked``), decides its kind once from that report
-(``_floats._kind``) and hands the report and the kind to the cores.
---tol must lie in (0, 1).
+``_floats._array``, the scalar API's reader (JSON null is NaN), and calls
+the float cores that rot3, rot4 and rng wrap, so it prints their bits
+and raises their errors. A matrix command checks its matrix once
+(``_checked``), decides its kind once from that report (``_floats._kind``)
+and hands both to the cores. --tol must lie in (0, 1).
 
 The command line has a fixed grammar: one command and the six
 ``--option VALUE`` flags of ``_OPTIONS``. ``parse_args`` reads it from
@@ -252,7 +250,7 @@ def _cmd_verify(args, text):
         kind = _floats._kind(report)
         _, branch, residual = _floats._extract(m, report, kind)
         alpha, _ = _floats._rotation_angle(m, kind)
-        ok = report.max_abs_gram_deviation <= args.tol and residual <= args.tol
+        ok = report.is_orthonormal and residual <= args.tol
         return {
             "dim": 3,
             "kind": kind.value,
@@ -264,11 +262,7 @@ def _cmd_verify(args, text):
             "ok": ok,
         }
     _, _, rank1_residual, reconstruction_error = _floats._decompose(m, report)
-    ok = (
-        report.max_abs_gram_deviation <= args.tol
-        and rank1_residual <= args.tol
-        and reconstruction_error <= args.tol
-    )
+    ok = report.is_orthonormal and rank1_residual <= args.tol and reconstruction_error <= args.tol
     return {
         "dim": 4,
         "orthogonality_deviation": report.max_abs_gram_deviation,
@@ -457,6 +451,8 @@ def main(argv=None) -> int:
             if args.input is not None:
                 with open(args.input, "r", encoding="utf-8") as handle:
                     text = handle.read()
+            elif sys.stdin is None:  # Python started with fd 0 closed
+                raise OSError("standard input is closed")
             else:
                 text = sys.stdin.read()
         except (OSError, UnicodeDecodeError) as exc:

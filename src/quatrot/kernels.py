@@ -29,29 +29,24 @@ only on OpenBLAS's AVX-512 kernels (see ``_ASSOC``).
 
 The two 3D kernels evaluate the scalar API's formulas and policies, not
 copies of them: Euler-Rodrigues evaluates ``_floats._er_entries`` on the
-block's component rows; extract reads its table of products q_i q_j with
-``_floats._products`` (the associate formula on the a00 = +1 embedding,
-whose border is Python floats) and takes the seed, the sign and the
-residual from ``_floats._solve`` given ``_Rows``, numpy's namespace with
-a ``max`` that folds the terms, not a (16, b) stack. Decompose keeps only its
-power steps: its seed column and sign come from ``_floats._first_max``
-and ``_floats._sign`` with np.where.
+block's component rows; extract reads its table of products with
+``_floats._products`` (the associate formula on the a00 = +1 embedding)
+and its seed, sign and residual from ``_floats._solve``. Decompose keeps
+only its power steps; its seed column and sign come from
+``_floats._first_max`` and ``_floats._sign``. The policies run with
+``_Rows``, so on rows they keep the NaN rule they keep on floats.
 
 Component-major blocks: decompose, extract and Euler-Rodrigues transpose
 their block once into a contiguous (k, b) array, row i holding component
-i of every row, compute on that layout and write their results back
-transposed once. Every step in between is elementwise arithmetic on
-length-b rows: norms, matrix-vector products and Frobenius sums add
-their terms over the leading axis in index order (``_ordered_sum``), and
-the seed choices take the first largest entry by strict ``>`` selection
-(``_floats._first_max``), as np.argmax and ``max(range(k), key=...)``
-break ties. numpy's ``sum`` and ``einsum`` are avoided on purpose: a
-contiguous ``sum`` of eight or more terms is pairwise, so with b = 1 it
-adds in another order than with b > 1, and einsum's order varied with
-the block length; either would break the block contract. NaN: ``>``
-never selects NaN after the first key, on floats as on rows, while
-np.argmax takes NaN as the largest, so for a row with NaN squares the
-branch may differ from an argmax's.
+i of every row, and write their results back transposed once. In
+between, every step is elementwise on length-b rows: sums add their
+terms in index order (``_ordered_sum``), and the seed choices take the
+first largest key by strict ``>`` (``_first_max``), which never picks a
+NaN after the first key, where np.argmax takes NaN as the largest.
+numpy's ``sum`` and ``einsum`` are avoided on purpose: a contiguous
+``sum`` of eight or more terms is pairwise, so with b = 1 it adds in
+another order than with b > 1, and einsum's order varied with the block
+length; either would break the block contract.
 """
 
 from __future__ import annotations
@@ -80,13 +75,14 @@ _COMPOSE = np.ascontiguousarray(4.0 * _ASSOC.T)
 
 
 class _Rows:
-    """``_floats._solve``'s namespace on component rows: numpy's ``where``, ``sqrt``
-    and ``maximum``, and a ``max`` that folds the terms into one row, as np.max."""
+    """``_floats._Floats`` on component rows: numpy's ``where``, ``sqrt`` and
+    ``maximum``, and ``max``, the fold of ``maximum`` over the terms. NaN rule,
+    numpy's: a NaN operand or term, wherever it is, makes its row's result NaN."""
 
     where, sqrt, maximum = staticmethod(np.where), np.sqrt, np.maximum
 
     @staticmethod
-    def max(terms, axis):
+    def max(terms):
         acc = np.maximum(terms[0], terms[1])
         for t in terms[2:]:
             np.maximum(acc, t, out=acc)
@@ -180,12 +176,12 @@ def _decompose_4d(a, u_out, v_out, rank1_out, recon_out) -> None:
     m = _component_major(assoc).reshape(4, 4, -1)  # m[i, j] is entry (i, j)
     col_squares = _ordered_sum(m * m)
     scale = np.sqrt(_ordered_sum(col_squares))
-    _, _, u = _floats._first_max(col_squares, m.transpose(1, 0, 2), np.where)  # seed: a column of m
+    _, _, u = _floats._first_max(col_squares, m.transpose(1, 0, 2), _Rows)  # seed: a column of m
     u = _unit(u)
     v = _ordered_sum(m * u[:, None])  # v_j = sum_i m_ij u_i
     u = _unit(_ordered_sum((m * _unit(v)).transpose(1, 0, 2)))  # u_i = sum_j m_ij v_j
     v = _unit(_ordered_sum(m * u[:, None]))
-    sign = _floats._sign(u, np.where)
+    sign = _floats._sign(u, _Rows)
     u *= sign
     v *= sign
     # m becomes d = assoc(a) - u v^T: ||a - compose(u, v)||_F = 2 ||d||_F

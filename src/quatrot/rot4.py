@@ -20,14 +20,14 @@ error without recomposing.
 
 The associate entries, the 4D factor step (``_factor``: the gate's
 verdict, the associate matrix and the rank-1 step), the compose product
-and the reconstruction error are written once, in ``_floats``, on Python
-floats; the functions here read each argument once as floats
-(``linalg._float_rows``), call them and return numpy arrays.
-``compose_4d`` evaluates ``_floats._compose``, the CLI's compose core.
-``decompose_4d`` and the CLI's ``_floats._decompose`` share ``_factor``;
-``decompose_4d`` still gates through the public ``check_orthonormal``
-and recomposes its factors with ``mat_mul`` (``_compose``'s bytes), one
-``mat_mul`` call each, which the benchmark counts (ROADMAP item 6).
+(the CLI's too) and the reconstruction error are written once, in
+``_floats``, on Python floats; the functions here read each argument
+once as floats (``linalg._float_rows``), call them and return numpy
+arrays. ``decompose_4d`` and the CLI's ``_floats._decompose`` share
+``_factor``; ``decompose_4d`` still gates through the public
+``check_orthonormal`` and recomposes its factors with ``mat_mul``
+(``_compose``'s bytes), one ``mat_mul`` call each, which the benchmark
+counts (ROADMAP item 6).
 """
 
 from __future__ import annotations

@@ -87,22 +87,47 @@ def test_input_file(tmp_path, monkeypatch, capsys):
     assert json.loads(out)["kind"] == "rotation"
 
 
-@pytest.mark.parametrize("source", ["file", "stdin"])
-def test_input_that_is_not_utf8_is_a_parse_error(source, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("source", ["file", "stdin", "process"])
+def test_input_that_is_not_utf8_is_a_parse_error(source, tmp_path, monkeypatch, capsys, cli_env):
     data = b'{"matrix": "\xff"}'
     args = ["classify"]
-    if source == "file":
-        (tmp_path / "m.json").write_bytes(data)
-        args += ["--input", str(tmp_path / "m.json")]
-    else:  # a stdin that decodes strictly, as under PYTHONIOENCODING=utf-8:strict
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict"))
-    assert main(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err) == {
+    if source == "process":  # a real process whose stdin decodes strictly
+        env = dict(cli_env, PYTHONIOENCODING="utf-8:strict")
+        done = subprocess.run([sys.executable, "-m", "quatrot", *args], input=data, capture_output=True, env=env, timeout=60)
+        code, out, err = done.returncode, done.stdout.decode(), done.stderr.decode()
+    else:
+        if source == "file":
+            (tmp_path / "m.json").write_bytes(data)
+            args += ["--input", str(tmp_path / "m.json")]
+        else:  # a stdin that decodes strictly, as under PYTHONIOENCODING=utf-8:strict
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict"))
+        code = main(args)
+        out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
         "error": "parse_error",
         "detail": "cannot read input: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte",
     }
+
+
+CLOSED_STDIN = {"error": "parse_error", "detail": "cannot read input: standard input is closed"}
+
+
+def test_a_closed_stdin_is_a_parse_error(monkeypatch, capsys):
+    """Python sets sys.stdin to None when it starts with fd 0 closed."""
+    monkeypatch.setattr(sys, "stdin", None)
+    assert main(["classify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == CLOSED_STDIN
+
+
+def test_a_process_started_with_stdin_closed_gives_a_parse_error(cli_env):
+    env = dict(cli_env, PYTHON=sys.executable)
+    done = subprocess.run(["sh", "-c", '"$PYTHON" -m quatrot classify <&-'], capture_output=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert json.loads(done.stderr) == CLOSED_STDIN
 
 
 def test_verify_random_rotation_is_ok(monkeypatch, capsys):

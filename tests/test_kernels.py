@@ -220,21 +220,21 @@ _TERM = st.one_of(st.floats(-2, 2), st.just(math.nan))
 @given(st.lists(_TERM, min_size=20, max_size=20), st.integers(1, 4))
 def test_residual_is_the_fold_of_two_argument_maxima(entries, width):
     """_residual, its 16 terms written out, gives the bytes of the fold
-    through 15 two-argument maxima over the terms of a nested zip (builtin
-    max on floats, np.maximum on component rows), NaN at any position
-    included: on floats, on rows reduced by np.max, and on rows folded by
-    the kernels' namespace."""
+    through 15 two-argument np.maximum over the terms of a nested zip, which
+    is np.max of their stack, NaN at any position included: on floats, and
+    on component rows folded by the kernels' namespace."""
     def split(values):  # a 4x4 table and q
         return [values[4 * i : 4 * i + 4] for i in range(4)], values[16:]
 
-    def fold(table, q, maximum):
-        return functools.reduce(maximum, [abs(qi * qj - t) for qi, row in zip(q, table) for qj, t in zip(q, row)])
+    def terms(table, q):
+        return [abs(qi * qj - t) for qi, row in zip(q, table) for qj, t in zip(q, row)]
 
-    assert np.float64(_floats._residual(*split(entries))).tobytes() == np.float64(fold(*split(entries), max)).tobytes()
     rows = list(np.array([np.roll(entries, k) for k in range(width)]).T)  # column k: entries rolled by k
-    want = fold(*split(rows), np.maximum).tobytes()
-    assert _floats._residual(*split(rows), np).tobytes() == want
-    assert _floats._residual(*split(rows), kernels._Rows).tobytes() == want
+    row_terms = terms(*split(rows))
+    want = functools.reduce(np.maximum, row_terms)
+    assert want.tobytes() == np.max(row_terms, axis=0).tobytes()
+    assert _floats._residual(*split(rows), kernels._Rows).tobytes() == want.tobytes()
+    assert np.float64(_floats._residual(*split(entries))).tobytes() == want[:1].tobytes()
 
 
 def test_residual_reads_each_of_its_16_terms():
@@ -245,8 +245,7 @@ def test_residual_reads_each_of_its_16_terms():
         table = [[qi * qj + (4 * i + j == k) for j, qj in enumerate(q)] for i, qi in enumerate(q)]
         rows = [[np.full(3, t) for t in row] for row in table]
         assert _floats._residual(table, q) == 1.0, k
-        for xp in (np, kernels._Rows):
-            assert _floats._residual(rows, [np.full(3, c) for c in q], xp).tolist() == [1.0] * 3, k
+        assert _floats._residual(rows, [np.full(3, c) for c in q], kernels._Rows).tolist() == [1.0] * 3, k
 
 
 def test_strided_and_fortran_inputs_match_contiguous_copies(block_stack):
@@ -421,7 +420,7 @@ _ZERO_ROWS = st.sampled_from([[0.0] * 4, [-0.0] * 4])
 def test_sign_rule_scalar_batch_and_reference_agree(rows):
     assert SIGN_EPS == 1e-12
     q = np.array(rows, dtype=np.float64)
-    batch = _floats._sign(q.T, np.where)
+    batch = _floats._sign(q.T, kernels._Rows)
     for row, got in zip(q, batch):
         expected = _reference_sign(row)
         assert canonical_sign(row) == expected
@@ -480,7 +479,7 @@ def test_decompose_ties_go_to_the_first_column():
     col_squares = np.sum(m * m, axis=0)
     assert col_squares[0] == col_squares[1] == col_squares.max()
     comp = kernels._component_major(m[None]).reshape(4, 4, 1)
-    index, _, seed = _floats._first_max(col_squares[:, None], comp.transpose(1, 0, 2), np.where)
+    index, _, seed = _floats._first_max(col_squares[:, None], comp.transpose(1, 0, 2), kernels._Rows)
     assert index[0] == 0
     assert seed[:, 0].tobytes() == m[:, 0].tobytes()
     u, v, rank1, recon = kernels.batch_decompose_4d(a[None])
@@ -512,7 +511,7 @@ def test_first_max_is_argmax_with_the_row_it_picks(keys):
         assert index == want[c]
         assert np.array_equal(key, keys[want[c], c], equal_nan=True)
         assert row == rows[want[c], :, c].tolist()
-    index, key, row = _floats._first_max(keys, rows, np.where)
+    index, key, row = _floats._first_max(keys, rows, kernels._Rows)
     assert np.array_equal(np.broadcast_to(index, want.shape), want)
     assert np.array_equal(key, keys[want, cols], equal_nan=True)
     assert np.array_equal(row, rows[want, :, cols].T)
