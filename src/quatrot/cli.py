@@ -28,9 +28,10 @@ text, it does not rewrap to the terminal's width.
 
 Exit codes: 0 success, 2 parse/validation error (a bad flag or command
 included), 3 mathematical rejection (input passed parsing but is not the
-kind of matrix the command requires). Errors are reported as a
-single-line JSON object {"error": code, "detail": text} on stderr;
-``--help`` prints the help and exits 0.
+kind of matrix the command requires, or ``verify`` printed its report
+with "ok": false). Errors are reported as a single-line JSON object
+{"error": code, "detail": text} on stderr; ``--help`` prints the help
+and exits 0.
 """
 
 from __future__ import annotations
@@ -466,7 +467,7 @@ def main(argv=None) -> int:
     except QuatrotError as exc:
         return _fail(exc.code, str(exc), EXIT_MATH)
     sys.stdout.write(dump_json(result) + "\n")
-    return EXIT_OK
+    return EXIT_OK if result.get("ok", True) else EXIT_MATH
 
 
 if __name__ == "__main__":

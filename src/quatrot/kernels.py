@@ -24,8 +24,10 @@ from the associate matrix (the identity in ``rot4``) instead of
 recomposing. A table multiplies every entry of a row, zeros included, so
 one inf or NaN entry makes every output of its row non-finite: the
 entries of associate and compose that do not sum it become NaN (0 * inf).
-Other rows are not affected. The block contract holds for these three
-only on OpenBLAS's AVX-512 kernels (see ``_ASSOC``).
+Other rows are not affected. Each table product is one GEMM per block
+(``_gemm``), its rows padded to a multiple of 8, so the block contract
+holds for these three on OpenBLAS's SkylakeX, Haswell, Zen and Prescott
+kernels alike (checked on each).
 
 The two 3D kernels evaluate the scalar API's formulas and policies, not
 copies of them: Euler-Rodrigues evaluates ``_floats._er_entries`` on the
@@ -66,10 +68,7 @@ _BLOCK = 4096
 # associate matrix of the k-th unit 4x4 matrix, so
 # vec(associate_matrix(a)) = vec(a) @ _ASSOC. Its entries are 0 and
 # +-1/4 and _ASSOC @ _ASSOC.T = I/4, so compose, the inverse map on
-# vec(l r^T), is the table _COMPOSE = 4 _ASSOC.T. Both are row-major: a
-# one-row block goes through gemv, which sums in the GEMM's order only on
-# OpenBLAS's AVX-512 kernels. On Haswell, Zen and Prescott a GEMM row's bits
-# change with the row count (3, 5, 7, 9, 17, 33 rows differ; 1, 2, 4, 8 agree).
+# vec(l r^T), is the table _COMPOSE = 4 _ASSOC.T. Both go through _gemm.
 _ASSOC = np.array([_floats._associate(e.reshape(4, 4).tolist()) for e in np.eye(16)]).reshape(16, 16)
 _COMPOSE = np.ascontiguousarray(4.0 * _ASSOC.T)
 
@@ -148,9 +147,20 @@ def batch_extract_rotation(m: np.ndarray):
     return _blocked(_extract_rotation, (m,), outputs)
 
 
+def _gemm(x: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
+    """out = x @ table, x a (b, 16) block. OpenBLAS's Haswell, Zen and
+    Prescott kernels sum a row in another order when b is odd (a one-row
+    product is a gemv), so a block of b not a multiple of 8 is first padded
+    with zero rows to one; then row i's bits do not depend on b."""
+    short = -len(x) % 8
+    if short:
+        out[:] = (np.concatenate((x, np.zeros((short, 16)))) @ table)[:-short]
+    else:
+        np.matmul(x, table, out=out)
+
+
 def _compose_4d(l: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
-    outer = np.einsum("ni,nj->nij", l, r).reshape(-1, 16)
-    np.matmul(outer, _COMPOSE, out=out.reshape(-1, 16))
+    _gemm(np.einsum("ni,nj->nij", l, r).reshape(-1, 16), _COMPOSE, out.reshape(-1, 16))
 
 
 def batch_compose_4d(l: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -161,7 +171,7 @@ def batch_compose_4d(l: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _associate_matrix(a: np.ndarray, out: np.ndarray) -> None:
-    np.matmul(a.reshape(-1, 16), _ASSOC, out=out.reshape(-1, 16))
+    _gemm(a.reshape(-1, 16), _ASSOC, out.reshape(-1, 16))
 
 
 def batch_associate_matrix(a: np.ndarray) -> np.ndarray:

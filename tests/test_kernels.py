@@ -350,7 +350,7 @@ np.savez(
 def test_one_blas_thread_gives_the_same_bytes(cli_env, tmp_path):
     """Row i depends only on row i, so the kernels give the same bytes on
     one BLAS thread as on however many this process uses."""
-    left, right, m3, m4 = _noisy_stack(906, 3 * kernels._BLOCK)
+    left, right, m3, m4 = _noisy_stack(906, 3 * kernels._BLOCK + 5)  # the last block is padded
     np.savez(tmp_path / "in.npz", l=left, r=right, m3=m3, m4=m4)
     env = dict(cli_env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     cmd = [sys.executable, "-c", _ONE_THREAD_CHILD, str(tmp_path / "in.npz"), str(tmp_path / "out.npz")]
@@ -365,6 +365,42 @@ def test_one_blas_thread_gives_the_same_bytes(cli_env, tmp_path):
     with np.load(tmp_path / "out.npz") as child:
         for k, want in enumerate(here):
             assert child[f"arr_{k}"].tobytes() == want.tobytes(), k
+
+
+_CORE_TYPE_CHILD = """
+import sys
+import numpy as np
+import quatrot.kernels as kernels
+inp = np.load(sys.argv[1])
+l, r, m4 = inp["l"], inp["r"], inp["m4"]
+calls = {
+    "compose_4d": lambda n: [kernels.batch_compose_4d(l[-n:], r[-n:])],
+    "associate_matrix": lambda n: [kernels.batch_associate_matrix(m4[-n:])],
+    "decompose_4d": lambda n: kernels.batch_decompose_4d(m4[-n:]),
+}
+bad = []
+for name, call in calls.items():
+    full = call(len(m4))
+    for n in [*range(1, 41), 1001, 4095]:
+        if not all(np.array_equal(got, want[-n:]) for got, want in zip(call(n), full)):
+            bad.append(f"{name}: {n} rows")
+sys.exit("\\n".join(bad) or None)
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Zen", "Prescott"])
+def test_4d_rows_match_the_full_stack_on_other_blas_kernels(cli_env, tmp_path, core):
+    """The block contract does not depend on OpenBLAS's CPU kernel: under
+    each core type, each row of the 4D kernels on a stack of 1-40, 1001 or
+    4095 rows has its bits in a 4096-row stack. The child compares within
+    itself, because its bits may differ from this process's."""
+    left, right, _, m4 = _noisy_stack(907, kernels._BLOCK)
+    np.savez(tmp_path / "in.npz", l=left, r=right, m4=m4)
+    env = dict(cli_env, OPENBLAS_CORETYPE=core)
+    child = subprocess.run(
+        [sys.executable, "-c", _CORE_TYPE_CHILD, str(tmp_path / "in.npz")], env=env, capture_output=True, text=True
+    )
+    assert child.returncode == 0, child.stderr
 
 
 def test_non_finite_rows_leave_the_other_rows_alone(block_stack):

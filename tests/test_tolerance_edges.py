@@ -123,7 +123,7 @@ def _verify(m, tol, monkeypatch, capsys):
         (GATE3, "orthogonality_deviation", (3, "not_orthogonal")),
         (RESIDUAL3, "extraction_residual", (3, "inconsistent_system")),
         (GATE4, "orthogonality_deviation", (3, "not_a_rotation")),
-        (RECON4, "reconstruction_error", (0, False)),  # the one verdict only ok gives
+        (RECON4, "reconstruction_error", (3, False)),  # the one verdict only ok gives
     ],
     ids=["gate3", "residual3", "gate4", "reconstruction"],
 )
