@@ -169,9 +169,9 @@ def _vec4(q) -> list:
 
 def _cmd_quat2mat(args, text):
     m = _floats._rotation_rows(_vec4(parse_quaternion(text, args.format)))
-    if args.kind == "rotoreflection":
-        return {"matrix": [[-x for x in row] for row in m], "kind": "rotoreflection"}
-    return {"matrix": m, "kind": "rotation"}
+    kind = IsometryKind("rotation" if args.kind == "auto" else args.kind)
+    corner = _floats._CORNER[kind]
+    return {"matrix": [[corner * x for x in row] for row in m], "kind": kind.value}
 
 
 def _checked(args, text, dim=None):
@@ -330,7 +330,7 @@ def _seed(value: str) -> int:
 _OPTIONS = {
     "--input": (str, None, None),
     "--format": (str, ("json", "plain"), "json"),
-    "--tol": (float, None, 1e-9),
+    "--tol": (float, None, _floats.DEFAULT_TOL),
     "--seed": (_seed, None, None),
     "--dim": (int, (3, 4), 3),
     "--kind": (str, ("auto", "rotation", "rotoreflection"), "auto"),

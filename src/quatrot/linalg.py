@@ -62,16 +62,17 @@ def _float_rows(a, shape: tuple, name: str) -> list:
     return rows
 
 
-def _require_tol(tol) -> None:
-    """ValueError unless tol is a real number in (0, 1); a float skips the ABC check."""
+def _require_tol(tol) -> float:
+    """float(tol), which the cores compare and format; ValueError unless tol
+    is a real number in (0, 1). A float skips the ABC check."""
     if not ((type(tol) is float or isinstance(tol, Real)) and 0.0 < tol < 1.0):
         raise ValueError("tol must be in (0, 1)")
+    return float(tol)
 
 
 def _report(rows: list, tol) -> OrthogonalityReport:
     """``check_orthonormal(m, tol)``, on the rows ``_float_rows`` read of m."""
-    _require_tol(tol)
-    return _orthogonality(rows, tol)
+    return _orthogonality(rows, _require_tol(tol))
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,7 +98,7 @@ def check_orthonormal(m: np.ndarray, tol: float = DEFAULT_TOL) -> OrthogonalityR
     around determinant +1 and -1 overlap, and a NaN tol fails every gate.
     The report is ``_floats._orthogonality``'s, as in ``rot3`` and the CLI.
     """
-    _require_tol(tol)
+    tol = _require_tol(tol)
     m = _ndarray(m, "matrix")
     if m.shape not in ((3, 3), (4, 4)):
         raise NonFiniteInput(f"orthonormality check: expected 3x3 or 4x4, got {m.shape}")
@@ -118,6 +119,6 @@ def rank1_factor(m: np.ndarray, tol: float = DEFAULT_TOL):
     ValueError unless 0 < tol < 1, ZeroMatrix when ||m||_F <= tol, and
     NonFiniteInput when ||m||_F overflows (entries above about 1.3e154).
     """
-    _require_tol(tol)
+    tol = _require_tol(tol)
     u, v, residual = _rank1(_float_rows(m, (4, 4), "mat4"), tol)
     return np.array(u), np.array(v), residual

@@ -21,11 +21,11 @@ on the component rows of its blocks, so both paths give the same bits,
 and the CLI calls the cores without numpy. ``IsometryKind`` is
 ``_floats``' own class.
 
-Kind detection is purely the determinant sign: +1 rotation, -1
-rotoreflection. Angles come from the trace: trace = 2 cos(alpha) + 1 for
-rotations, 2 cos(alpha) - 1 for rotoreflections; the skew part gives
-sin(alpha) for both, and atan2 of the two keeps the angle accurate near
-0 and pi.
+A kind is its corner a00 (``_floats._CORNER``): +1 for a rotation, -1
+for a rotoreflection, which is also its determinant. Angles come from
+the trace: trace = 2 cos(alpha) + a00; the skew part gives sin(alpha)
+for both kinds, and atan2 of the two keeps the angle accurate near 0
+and pi.
 """
 
 from __future__ import annotations
@@ -128,8 +128,8 @@ def extract_rotoreflection(m, tol: float = DEFAULT_TOL) -> ExtractionResult:
 def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleReport:
     """Angle from the trace and the skew part.
 
-    cos_alpha is (trace - 1)/2 for rotations and (trace + 1)/2 for
-    rotoreflections, clamped to [-1, 1] (the trace can overshoot by
+    cos_alpha is (trace - a00)/2, a00 = +1 for a rotation and -1 for a
+    rotoreflection, clamped to [-1, 1] (the trace can overshoot by
     rounding). sin_alpha is half the norm of (m21 - m12, m02 - m20,
     m10 - m01), the same for both kinds, and alpha = atan2(sin_alpha,
     cos_alpha): arccos of the cosine alone loses half the digits near
@@ -153,7 +153,7 @@ def embed_4d(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> np.ndarray:
     rows = _float_rows(m, (3, 3), "mat3")
     kind = _as_kind(kind)
     _require_kind(_report(rows, tol), kind)
-    out = np.zeros((4, 4))
+    out = np.zeros((4, 4))  # np.array(_floats._embedding(rows, kind)) took 6.1 instead of 5.2 us
     out[0, 0] = _CORNER[kind]
     out[1:, 1:] = rows
     return out
@@ -163,9 +163,9 @@ def displaced_angle_cos(point, alpha: float, kind: IsometryKind) -> float:
     """Cosine of the angle between the ray through `point` and its image
     under the canonical Z-axis rotation/rotoreflection by `alpha`.
 
-    Closed forms with rho^2 = x^2 + y^2:
-      rotation:       (rho^2 cos(alpha) + z^2) / (rho^2 + z^2)
-      rotoreflection: (rho^2 cos(alpha) - z^2) / (rho^2 + z^2)
+    The closed form, with rho^2 = x^2 + y^2 and the kind's corner a00
+    (+1 rotation, -1 rotoreflection):
+      (rho^2 cos(alpha) + a00 z^2) / (rho^2 + z^2)
 
     The point is first scaled by a power of two (exactly) so that its
     largest |component| lies in [0.5, 1): the squares cannot overflow or
@@ -189,6 +189,4 @@ def displaced_angle_cos(point, alpha: float, kind: IsometryKind) -> float:
     x, y, z = (math.ldexp(v, -exponent) for v in (x, y, z))
     rho2 = x * x + y * y
     z2 = z * z
-    if kind is IsometryKind.ROTATION:
-        return (rho2 * math.cos(alpha) + z2) / (rho2 + z2)
-    return (rho2 * math.cos(alpha) - z2) / (rho2 + z2)
+    return (rho2 * math.cos(alpha) + _CORNER[kind] * z2) / (rho2 + z2)

@@ -1,5 +1,6 @@
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from quatrot import rot3, rot4
 from quatrot._floats import _det3, _det4, _mat_mul, _orthogonality
-from quatrot.errors import NonFiniteInput, ZeroMatrix
+from quatrot.errors import NonFiniteInput, QuatrotError, ZeroMatrix
 from quatrot.linalg import (
     _float_rows,
     _report,
@@ -119,6 +120,36 @@ def test_tol_that_is_not_a_real_number_in_the_unit_interval_is_a_value_error(nam
 @pytest.mark.parametrize("name", sorted(_TOL_CALLS))
 def test_numpy_float_tol_is_accepted(name):
     _TOL_CALLS[name](np.float32(1e-9))
+
+
+# One rejected input per function of _TOL_CALLS: check_orthonormal reports
+# it off the gate, the others raise.
+_REJECTED = {
+    "check_orthonormal": lambda tol: check_orthonormal(np.diag([1, 1, 1.1]), tol),
+    "rank1_factor": lambda tol: rank1_factor(np.zeros((4, 4)), tol),
+    "classify": lambda tol: rot3.classify(np.diag([1, 1, 1.1]), tol),
+    "extract_rotation": lambda tol: rot3.extract_rotation(np.diag([1, 1, 1.1]), tol),
+    "extract_rotoreflection": lambda tol: rot3.extract_rotoreflection(np.diag([-1, -1, -1.1]), tol),
+    "rotation_angle": lambda tol: rot3.rotation_angle(np.diag([1, 1, 1.1]), "rotation", tol),
+    "embed_4d": lambda tol: rot3.embed_4d(np.diag([1, 1, 1.1]), "rotation", tol),
+    "decompose_4d": lambda tol: rot4.decompose_4d(np.diag([1, 1, 1, 1.1]), tol),
+}
+
+
+def _tol_outcome(name, tol):
+    try:
+        return repr(_REJECTED[name](tol))
+    except QuatrotError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_TOL_CALLS))
+@pytest.mark.parametrize("tol", [Fraction(1, 10**9), np.float64(1e-9), np.float32(1e-9)], ids=repr)
+def test_a_real_tol_acts_as_its_float(name, tol):
+    """Any real tol is read as float(tol): the same error class and message
+    (a Fraction's own format() takes no ".3e" before Python 3.12), and a
+    report whose tolerance_used is that float."""
+    assert _tol_outcome(name, tol) == _tol_outcome(name, float(tol))
 
 
 def _bits(x: float) -> bytes:

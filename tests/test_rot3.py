@@ -1,25 +1,30 @@
 import math
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatrot import cli
 from quatrot.errors import (
     InconsistentSystem,
+    IndeterminateDeterminant,
     KindMismatch,
     NonFiniteInput,
     NotARotation,
     NotARotoreflection,
     NotOrthogonal,
     OriginPoint,
+    QuatrotError,
 )
 from quatrot.kernels import batch_extract_rotation
-from quatrot.linalg import OrthogonalityReport
+from quatrot.linalg import OrthogonalityReport, _report
 from quatrot.quaternion import conjugate
 from quatrot.rot4 import associate_matrix
 from quatrot.rng import Xorshift64Star, random_unit_quaternion
-from quatrot._floats import _embedding, _products
+from quatrot._floats import _embedding, _products, _require_orthonormal
 from quatrot.rot3 import (
     IsometryKind,
     _extract,
@@ -559,3 +564,143 @@ def test_gated_functions_convert_their_matrix_once_and_skip_mat_mul(name, monkey
     counted = _CountedArray(m)
     assert repr(fn(counted, *args)) == repr(fn(m, *args))
     assert counted.conversions == 1
+
+
+# --- the corner a00 = +-1 as one number: the two-branch forms' bytes --------
+
+def _two_branch_kind(report):
+    """``_floats._kind`` written with one branch per kind."""
+    _require_orthonormal(report, NotOrthogonal)
+    tol = report.tolerance_used
+    if abs(report.determinant - 1.0) <= tol:
+        return IsometryKind.ROTATION
+    if abs(report.determinant + 1.0) <= tol:
+        return IsometryKind.ROTOREFLECTION
+    raise IndeterminateDeterminant(f"determinant {report.determinant!r} is far from both +1 and -1")
+
+
+def _two_branch_angle(m, kind, tol):
+    """``rotation_angle`` with its verdict and trace law written per kind."""
+    report = _report(m.tolist(), tol)
+    if _two_branch_kind(report) is not kind:
+        raise KindMismatch(f"determinant {report.determinant!r} does not match kind {kind.value}")
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
+    trace = m00 + m11 + m22
+    if kind is IsometryKind.ROTATION:
+        cos_alpha = (trace - 1.0) / 2.0
+    else:
+        cos_alpha = (trace + 1.0) / 2.0
+    cos_alpha = min(1.0, max(-1.0, cos_alpha))
+    sin_alpha = math.hypot(m21 - m12, m02 - m20, m10 - m01) / 2.0
+    return math.atan2(sin_alpha, cos_alpha), cos_alpha
+
+
+def _two_branch_displaced_cos(point, alpha, kind):
+    """``displaced_angle_cos`` of a finite point that is not the origin,
+    with one closed form per kind."""
+    x, y, z = point
+    exponent = math.frexp(max(abs(x), abs(y), abs(z)))[1]
+    x, y, z = (math.ldexp(v, -exponent) for v in (x, y, z))
+    rho2 = x * x + y * y
+    z2 = z * z
+    if kind is IsometryKind.ROTATION:
+        return (rho2 * math.cos(alpha) + z2) / (rho2 + z2)
+    return (rho2 * math.cos(alpha) - z2) / (rho2 + z2)
+
+
+def _two_branch_quat2mat(q, kind):
+    """The CLI's quat2mat result, negating the rotation for a rotoreflection."""
+    m = euler_rodrigues(q).tolist()
+    if kind == "rotoreflection":
+        return {"matrix": [[-x for x in row] for row in m], "kind": "rotoreflection"}
+    return {"matrix": m, "kind": "rotation"}
+
+
+def _outcome(call):
+    """The bytes of each float call returns, in its structure, or the
+    class and message of the QuatrotError it raises."""
+    def packed(x):
+        if isinstance(x, float):
+            return struct.pack("<d", x)
+        if isinstance(x, (list, tuple)):
+            return [packed(v) for v in x]
+        if isinstance(x, dict):
+            return {k: packed(v) for k, v in x.items()}
+        return x
+
+    try:
+        return packed(call())
+    except QuatrotError as exc:
+        return type(exc), str(exc)
+
+
+_UNIT_QUATERNION = st.one_of(
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+    .filter(lambda q: np.linalg.norm(q) > 0.1)
+    .map(lambda q: (q / np.linalg.norm(q)).tolist()),
+    st.permutations((1.0, 0.0, 0.0, 0.0)),
+    st.permutations((-1.0, -0.0, 0.0, 0.0)),
+    st.sampled_from(([0.5, -0.5, 0.5, -0.5], [S2, 0.0, 0.0, S2], [0.0, -S2, S2, 0.0])),
+)
+
+
+@st.composite
+def _kind_cases(draw):
+    """(m, tol): a rotation with noise from none to off the gate, an exact
+    signed permutation matrix, a rotation by an angle near 0 or pi, or
+    1.2 I at tol 0.5, which passes the gate with a determinant far from
+    both corners."""
+    form = draw(st.sampled_from(("random", "permutation", "near_0_or_pi", "scaled_identity")))
+    tol = draw(st.sampled_from((1e-12, 1e-9, 1e-6)))
+    if form == "random":
+        g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        q = g.standard_normal(4)
+        m = euler_rodrigues(q / np.linalg.norm(q))
+        noise = draw(st.sampled_from((0.0, 1e-15, 1e-12, 1e-9, 1e-7, 1e-5)))
+        m = m + noise * g.uniform(-1, 1, (3, 3))
+    elif form == "permutation":
+        signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=3, max_size=3))
+        m = np.zeros((3, 3))
+        m[range(3), draw(st.permutations(range(3)))] = signs
+    elif form == "near_0_or_pi":
+        gap = draw(st.sampled_from((0.0, 5e-324, 1e-300, 1e-16))) or 10.0 ** draw(st.floats(-15.0, -1.0))
+        angle = math.pi - gap if draw(st.booleans()) else gap
+        m = euler_rodrigues(_quat_from_axis_angle(draw(_AXIS), angle))
+    else:
+        m, tol = 1.2 * np.eye(3), 0.5
+    return m, tol
+
+
+_POINT = st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3).filter(any)
+_ALPHA = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from((0.0, -0.0, 5e-324, 1e-8, math.pi, math.nextafter(math.pi, 0.0), math.pi - 1e-8)),
+)
+# with quaternions off the unit window, where quat2mat raises NotUnit
+_QUATERNION = st.one_of(
+    _UNIT_QUATERNION, st.sampled_from(([1.0, 1.0, 0.0, 0.0], [1.0 + 1e-5, 0.0, 0.0, 0.0]))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kind_cases(), _POINT, _ALPHA, _QUATERNION)
+def test_the_corner_forms_give_the_two_branch_bytes(case, point, alpha, q):
+    """classify, rotation_angle, displaced_angle_cos and the CLI's quat2mat,
+    which read the kind's corner a00 as a number, give the bytes (or the
+    error class and message) of one branch per kind. Each kind is asked of
+    m and -m, each with its axes in the three cyclic orders, so the trace
+    adds its terms in each order."""
+    m, tol = case
+    for m in [s * np.roll(m, k, (0, 1)) for s in (1.0, -1.0) for k in range(3)]:
+        want = _outcome(lambda: _two_branch_kind(_report(m.tolist(), tol)))
+        assert _outcome(lambda: classify(m, tol)) == want
+        for kind in IsometryKind:
+            want = _outcome(lambda: _two_branch_angle(m, kind, tol))
+            assert _outcome(lambda: rotation_angle(m, kind, tol)) == want
+    for kind in IsometryKind:
+        want = _outcome(lambda: _two_branch_displaced_cos(point, alpha, kind))
+        assert _outcome(lambda: displaced_angle_cos(point, alpha, kind)) == want
+    text = " ".join(map(repr, q))
+    for kind in ("auto", "rotation", "rotoreflection"):
+        want = _outcome(lambda: _two_branch_quat2mat(q, kind))
+        assert _outcome(lambda: cli._cmd_quat2mat(SimpleNamespace(format="plain", kind=kind), text)) == want
