@@ -129,20 +129,17 @@ def _array(data, depth: int = 0):
 
 
 class _Floats:
-    """numpy's ``where``, ``sqrt``, ``maximum`` and ``max`` on Python floats,
-    for the cores that take a namespace ``xp`` (``kernels._Rows`` on rows).
-    NaN rule, numpy's: ``maximum(a, b)`` is NaN when a or b is, and ``max``,
-    the fold of ``maximum``, is the first NaN term wherever it is (builtin
-    ``max`` keeps a NaN only first). Equal values give the first; numpy may
-    give the other zero of a 0.0, -0.0 tie, which no core's ``abs`` terms make."""
+    """numpy's ``where``, ``sqrt`` and ``max`` on Python floats, for the
+    cores that take a namespace ``xp`` (``kernels._Rows`` on rows). NaN
+    rule, numpy's: when a term is NaN, wherever it is, ``max`` is NaN (the
+    first NaN term), as ``np.max`` is; builtin ``max`` keeps a NaN only
+    first. Equal terms give the first; numpy may give the other zero of a
+    0.0, -0.0 tie, which no core's ``abs`` terms make. ``sqrt`` of a
+    negative number raises here, where numpy gives NaN."""
 
     @staticmethod
     def where(take, a, b):
         return a if take else b
-
-    @staticmethod
-    def maximum(a, b):
-        return a if a >= b or a != a else b
 
     @staticmethod
     def max(terms):
@@ -414,24 +411,25 @@ def _products(rows, kind: IsometryKind) -> list:
 
 def _residual(table, q, xp=_Floats):
     """The largest |q_i q_j - table[i][j]| in one reduction: the ten
-    equations, each off-diagonal one met twice, written out row-major."""
-    (t00, t01, t02, t03), (t10, t11, t12, t13), (t20, t21, t22, t23), (t30, t31, t32, t33) = table
+    equations, each once (i <= j; the table is symmetric), row-major."""
+    (t00, t01, t02, t03), (_, t11, t12, t13), (_, _, t22, t23), (_, _, _, t33) = table
     q0, q1, q2, q3 = q
-    terms = [
+    return xp.max([
         abs(q0 * q0 - t00), abs(q0 * q1 - t01), abs(q0 * q2 - t02), abs(q0 * q3 - t03),
-        abs(q1 * q0 - t10), abs(q1 * q1 - t11), abs(q1 * q2 - t12), abs(q1 * q3 - t13),
-        abs(q2 * q0 - t20), abs(q2 * q1 - t21), abs(q2 * q2 - t22), abs(q2 * q3 - t23),
-        abs(q3 * q0 - t30), abs(q3 * q1 - t31), abs(q3 * q2 - t32), abs(q3 * q3 - t33),
-    ]
-    return xp.max(terms)
+        abs(q1 * q1 - t11), abs(q1 * q2 - t12), abs(q1 * q3 - t13),
+        abs(q2 * q2 - t22), abs(q2 * q3 - t23),
+        abs(q3 * q3 - t33),
+    ])
 
 
 def _solve(table, xp=_Floats) -> tuple:
     """(branch, q, residual) from the table of products q_i q_j: seed from
     the largest square, divide its row by the seed, apply the sign rule and
-    measure the ten equations; ``xp`` is ``kernels._Rows`` on component rows."""
+    measure the ten equations; ``xp`` is ``kernels._Rows`` on component rows.
+    A finite 3x3's four squares sum to 1 before rounding and the largest is
+    at least (1 + max |m_ii|) / 4, so the seed is positive."""
     branch, square, row = _first_max([table[i][i] for i in range(4)], table, xp)
-    seed = xp.sqrt(xp.maximum(square, 0.0))
+    seed = xp.sqrt(square)
     q = [xp.where(i == branch, seed, t / seed) for i, t in enumerate(row)]
     sign = _sign(q, xp)
     q = [c * sign for c in q]

@@ -8,8 +8,8 @@ separated numbers, one matrix row per line). Output is always JSON on
 stdout, with numbers printed to 17 significant digits so values
 round-trip through double precision exactly.
 
-The CLI process imports json, math, sys and quatrot's ``_floats`` and
-``errors`` (re and types, which it also uses, come with json): no
+The CLI process imports contextlib, json, math, os, sys and quatrot's
+``_floats`` and ``errors`` (re and types come with json): no
 numpy, argparse or dataclasses. It reads its matrix and quaternions with
 ``_floats._array``, the scalar API's reader (JSON null is NaN), and calls
 the float cores that rot3, rot4 and rng wrap, so it prints their bits
@@ -27,16 +27,19 @@ prints argparse's help as it was formatted for 80 columns; being static
 text, it does not rewrap to the terminal's width.
 
 Exit codes: 0 success, 2 parse/validation error (a bad flag or command
-included), 3 mathematical rejection (input passed parsing but is not the
+included, or a closed stdin, or a result or help text that stdout cannot
+take), 3 mathematical rejection (input passed parsing but is not the
 kind of matrix the command requires, or ``verify`` printed its report
 with "ok": false). Errors are reported as a single-line JSON object
-{"error": code, "detail": text} on stderr; ``--help`` prints the help
-and exits 0.
+{"error": code, "detail": text} on stderr; a stderr that cannot take
+it leaves the exit code as it is. ``--help`` prints the help and exits 0.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -387,7 +390,7 @@ def _help(flag: str, value) -> None:
         rest = value.lstrip("h") if flag == "-h" else value
         if rest or not value:
             raise ParseError(f"argument -h/--help: ignored explicit argument {rest!r}")
-    sys.stdout.write(_HELP)
+    _write("stdout", _HELP)
     raise SystemExit(0)
 
 
@@ -434,8 +437,27 @@ def parse_args(argv) -> SimpleNamespace:
     return SimpleNamespace(**values)
 
 
+def _write(name: str, text: str) -> None:
+    """Write text to sys.stdout or sys.stderr (``name``) and flush it, or
+    raise ParseError: the stream is None when Python started with its fd
+    closed. After a failed write (a broken pipe, a full device) the fd
+    points at os.devnull, as Python's SIGPIPE note advises, so that the
+    flush at exit neither fails again nor prints."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise ParseError(f"cannot write output: {name} is closed")
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
+        raise ParseError(f"cannot write output: {exc}") from None
+
+
 def _fail(code: str, detail: str, exit_code: int) -> int:
-    sys.stderr.write(dump_json({"error": code, "detail": detail}) + "\n")
+    with contextlib.suppress(ParseError):  # stderr cannot take it: the exit code still tells
+        _write("stderr", dump_json({"error": code, "detail": detail}) + "\n")
     return exit_code
 
 
@@ -460,13 +482,13 @@ def main(argv=None) -> int:
             return _fail("parse_error", f"cannot read input: {exc}", EXIT_PARSE)
     try:
         result = _HANDLERS[args.command](args, text)
+        _write("stdout", dump_json(result) + "\n")
     except ParseError as exc:
         return _fail("parse_error", str(exc), EXIT_PARSE)
     except _VALIDATION_ERRORS as exc:
         return _fail(exc.code, str(exc), EXIT_PARSE)
     except QuatrotError as exc:
         return _fail(exc.code, str(exc), EXIT_MATH)
-    sys.stdout.write(dump_json(result) + "\n")
     return EXIT_OK if result.get("ok", True) else EXIT_MATH
 
 

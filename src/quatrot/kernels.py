@@ -74,11 +74,11 @@ _COMPOSE = np.ascontiguousarray(4.0 * _ASSOC.T)
 
 
 class _Rows:
-    """``_floats._Floats`` on component rows: numpy's ``where``, ``sqrt`` and
-    ``maximum``, and ``max``, the fold of ``maximum`` over the terms. NaN rule,
-    numpy's: a NaN operand or term, wherever it is, makes its row's result NaN."""
+    """``_floats._Floats`` on component rows: numpy's ``where`` and ``sqrt``,
+    and ``max``, the fold of ``np.maximum`` over the terms. NaN rule, numpy's:
+    a NaN term, wherever it is, makes its row's result NaN."""
 
-    where, sqrt, maximum = staticmethod(np.where), np.sqrt, np.maximum
+    where, sqrt = staticmethod(np.where), np.sqrt
 
     @staticmethod
     def max(terms):

@@ -133,7 +133,9 @@ def rotation_angle(m, kind: IsometryKind, tol: float = DEFAULT_TOL) -> AngleRepo
     rounding). sin_alpha is half the norm of (m21 - m12, m02 - m20,
     m10 - m01), the same for both kinds, and alpha = atan2(sin_alpha,
     cos_alpha): arccos of the cosine alone loses half the digits near
-    0 and pi.
+    0 and pi. alpha can differ in the last bit across libm
+    implementations, which need not round atan2 correctly; cos_alpha
+    uses only IEEE operations.
 
     kind is an IsometryKind or its value. Raises NotOrthogonal off the
     gate, KindMismatch for the other kind or a kind that is neither.
@@ -166,6 +168,8 @@ def displaced_angle_cos(point, alpha: float, kind: IsometryKind) -> float:
     The closed form, with rho^2 = x^2 + y^2 and the kind's corner a00
     (+1 rotation, -1 rotoreflection):
       (rho^2 cos(alpha) + a00 z^2) / (rho^2 + z^2)
+    Its last bit can differ across libm implementations, which need not
+    round cos correctly.
 
     The point is first scaled by a power of two (exactly) so that its
     largest |component| lies in [0.5, 1): the squares cannot overflow or

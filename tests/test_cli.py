@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cli_cases import GOLDEN_CASES, GOLDEN_DIR, cli_outcome
+from stream_cases import STREAM_CASES, stream_outcome
 from quatrot import _floats, cli, linalg, rot3
 from quatrot.errors import QuatrotError
 from quatrot.rot3 import IsometryKind
@@ -128,6 +129,14 @@ def test_a_process_started_with_stdin_closed_gives_a_parse_error(cli_env):
     done = subprocess.run(["sh", "-c", '"$PYTHON" -m quatrot classify <&-'], capture_output=True, env=env, timeout=60)
     assert (done.returncode, done.stdout) == (2, b"")
     assert json.loads(done.stderr) == CLOSED_STDIN
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_a_stdout_or_stderr_that_cannot_be_written_gives_the_exit_code(name, cli_env):
+    """A result or help text that stdout cannot take (closed, a broken pipe,
+    a full device) is a parse error, and a stderr that cannot take the
+    error leaves the exit code as it is: no traceback, no exit 120."""
+    assert stream_outcome(name, cli_env) == STREAM_CASES[name][-1]
 
 
 def test_verify_random_rotation_is_ok(monkeypatch, capsys):

@@ -85,10 +85,11 @@ def test_each_core_gives_the_float_bytes_on_component_rows(name, data):
     for args in stack:
         try:
             want.append(_leaves(core(*args, _floats._Floats)))
-        except ZeroDivisionError:
-            # _solve's domain excludes a largest square <= 0: the seed is then
-            # 0 and the floats raise, where rows would divide by 0. No gated
-            # input reaches it: a rotation's four squares sum to 1.
+        except (ZeroDivisionError, ValueError):
+            # _solve's domain excludes a largest square <= 0: math.sqrt of a
+            # negative one raises, and so does the division by a seed of 0,
+            # where rows give NaN or divide by 0. No finite 3x3 reaches it:
+            # its four squares sum to 1 (test_kernels checks the largest > 0).
             assert name == "_solve"
             continue
         kept.append(args)
@@ -108,13 +109,11 @@ _TERM = st.one_of(st.sampled_from([0.0, 1.0, math.inf, math.nan]), st.floats(0.0
 
 @given(st.integers(2, 16).flatmap(lambda k: st.lists(st.lists(_TERM, min_size=k, max_size=k), min_size=1, max_size=5)))
 def test_both_maxes_give_nan_from_any_position(stack):
-    """The NaN rule of both namespaces: ``max`` and ``maximum`` are NaN when a
-    term or operand is, wherever it is; of terms without NaN, the largest."""
+    """The NaN rule of both namespaces: ``max`` is NaN when a term is,
+    wherever it is; of terms without NaN, the largest."""
     rows = list(np.array(stack).T)
     got = kernels._Rows.max(rows)
     for i, terms in enumerate(stack):
         want = _floats._Floats.max(terms)
         assert np.float64(want).tobytes() == got[i].tobytes()
         assert (want != want) == any(t != t for t in terms)
-        for a, b in zip(terms, terms[1:]):
-            assert np.float64(_floats._Floats.maximum(a, b)).tobytes() == np.maximum(a, b).tobytes()

@@ -9,12 +9,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import quatrot.kernels as kernels
 from quatrot import _floats
+from quatrot._floats import IsometryKind
 from quatrot.errors import NonFiniteInput
 from quatrot.linalg import SIGN_EPS, canonical_sign, rank1_factor
 from quatrot.quaternion import as_unit
@@ -214,20 +215,21 @@ def test_int_rows_are_squared_as_float64():
 
 
 _TERM = st.one_of(st.floats(-2, 2), st.just(math.nan))
+_UPPER = [(i, j) for i in range(4) for j in range(i, 4)]  # the ten equations q_i q_j = t_ij, row-major
 
 
 @settings(deadline=None)
 @given(st.lists(_TERM, min_size=20, max_size=20), st.integers(1, 4))
 def test_residual_is_the_fold_of_two_argument_maxima(entries, width):
-    """_residual, its 16 terms written out, gives the bytes of the fold
-    through 15 two-argument np.maximum over the terms of a nested zip, which
-    is np.max of their stack, NaN at any position included: on floats, and
-    on component rows folded by the kernels' namespace."""
+    """_residual, its ten terms written out, gives the bytes of the fold
+    through nine two-argument np.maximum over the upper triangle's terms,
+    which is np.max of their stack, NaN at any position included: on
+    floats, and on component rows folded by the kernels' namespace."""
     def split(values):  # a 4x4 table and q
         return [values[4 * i : 4 * i + 4] for i in range(4)], values[16:]
 
     def terms(table, q):
-        return [abs(qi * qj - t) for qi, row in zip(q, table) for qj, t in zip(q, row)]
+        return [abs(q[i] * q[j] - table[i][j]) for i, j in _UPPER]
 
     rows = list(np.array([np.roll(entries, k) for k in range(width)]).T)  # column k: entries rolled by k
     row_terms = terms(*split(rows))
@@ -237,15 +239,130 @@ def test_residual_is_the_fold_of_two_argument_maxima(entries, width):
     assert np.float64(_floats._residual(*split(entries))).tobytes() == want[:1].tobytes()
 
 
-def test_residual_reads_each_of_its_16_terms():
+def test_residual_reads_each_of_its_ten_terms_and_no_lower_entry():
     """With q = (1, 2, 3, 4) the products are exact: a table equal to them
-    but for entry (i, j), one more, gives residual 1 from that term alone."""
+    but for entry (i, j), one more, gives residual 1 from that term alone
+    when i <= j, and 0 when i > j, whose equation is (j, i)'s."""
     q = [1.0, 2.0, 3.0, 4.0]
     for k in range(16):
         table = [[qi * qj + (4 * i + j == k) for j, qj in enumerate(q)] for i, qi in enumerate(q)]
         rows = [[np.full(3, t) for t in row] for row in table]
-        assert _floats._residual(table, q) == 1.0, k
-        assert _floats._residual(rows, [np.full(3, c) for c in q], kernels._Rows).tolist() == [1.0] * 3, k
+        want = float(k % 4 >= k // 4)
+        assert _floats._residual(table, q) == want, k
+        assert _floats._residual(rows, [np.full(3, c) for c in q], kernels._Rows).tolist() == [want] * 3, k
+
+
+def _solve_with_sixteen_terms_and_a_clamp(table, xp):
+    """_solve as it was before the residual formed each equation once: the
+    seed square clamped at 0.0, and all 16 entries of the table measured."""
+    branch, square, row = _floats._first_max([table[i][i] for i in range(4)], table, xp)
+    seed = xp.sqrt(np.maximum(square, 0.0))
+    q = [xp.where(i == branch, seed, t / seed) for i, t in enumerate(row)]
+    sign = _floats._sign(q, xp)
+    q = [c * sign for c in q]
+    return branch, q, xp.max([abs(qi * qj - t) for qi, t_row in zip(q, table) for qj, t in zip(q, t_row)])
+
+
+_NOISE = st.floats(-1e-9, 1e-9)
+
+
+@st.composite
+def _noisy_isometries(draw):
+    """A rotation or a rotoreflection with entrywise noise of at most 1e-9:
+    the Euler-Rodrigues matrix of a drawn unit quaternion, or a signed
+    permutation whose zeros carry drawn signs."""
+    if draw(st.booleans()):
+        q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+        norm = np.linalg.norm(q)
+        assume(norm > 1e-3)
+        m = np.array(_floats._er_entries(*(q / norm))).reshape(3, 3)
+    else:
+        m = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=9, max_size=9))).reshape(3, 3)
+        m[range(3), draw(st.permutations(range(3)))] = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=3, max_size=3))
+    m = draw(st.sampled_from([1.0, -1.0])) * m
+    return (m + np.array(draw(st.lists(_NOISE, min_size=9, max_size=9))).reshape(3, 3)).tolist()
+
+
+def _3x3(entries):
+    return st.lists(st.lists(entries, min_size=3, max_size=3), min_size=3, max_size=3)
+
+
+# Finite 3x3s: isometries, or any entries up to +-1.7e308, so that sums overflow.
+_FINITE_3X3 = st.one_of(
+    _noisy_isometries(),
+    _3x3(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.7e308, -1.7e308]), st.floats(-1.7e308, 1.7e308))),
+)
+
+
+def _tables_on_floats_and_rows(mats, kind):
+    """_products of each 3x3 on floats, and of their stack on component rows."""
+    rows = kernels._component_major(np.array(mats)).reshape(3, 3, -1)
+    with np.errstate(over="ignore"):  # entries near 1.7e308 overflow their sums to inf on purpose
+        return [_floats._products(m, kind) for m in mats], _floats._products(rows, kind)
+
+
+@settings(deadline=None)
+@given(st.lists(_FINITE_3X3, min_size=1, max_size=6), st.sampled_from(IsometryKind))
+def test_products_are_exactly_symmetric_on_finite_rows(mats, kind):
+    """t[i][j] == t[j][i] on every finite 3x3, on floats and on component
+    rows: so the ten equations of _residual are all sixteen."""
+    tables, on_rows = _tables_on_floats_and_rows(mats, kind)
+    assert all((on_rows[i][j] == on_rows[j][i]).all() for i, j in _UPPER)
+    for m, table in zip(mats, tables):
+        assert all(table[i][j] == table[j][i] for i, j in _UPPER), m
+
+
+@settings(deadline=None)
+@given(st.lists(_FINITE_3X3, min_size=1, max_size=6), st.sampled_from(IsometryKind))
+def test_the_largest_square_is_positive_on_finite_rows(mats, kind):
+    """The largest of the four squares t[i][i] is > 0 on every finite 3x3,
+    on floats and on component rows: so _solve's seed is, unclamped."""
+    tables, on_rows = _tables_on_floats_and_rows(mats, kind)
+    assert (functools.reduce(np.maximum, [on_rows[i][i] for i in range(4)]) > 0).all()
+    for m, table in zip(mats, tables):
+        assert max(table[i][i] for i in range(4)) > 0, m
+
+
+@settings(deadline=None)
+@given(_noisy_isometries())
+def test_solve_gives_the_sixteen_term_clamped_bytes_on_gated_matrices(m):
+    """On floats, for a matrix that passes the gate, the clamp never acts
+    and the ten terms are the sixteen: every byte is as before."""
+    report = _floats._orthogonality(m, 1e-6)
+    kind = _floats._kind(report)
+    table = _floats._products(m, kind)
+    branch, q, residual = _floats._solve(table)
+    old_branch, old_q, old_residual = _solve_with_sixteen_terms_and_a_clamp(table, _floats._Floats)
+    assert branch == old_branch
+    assert np.array(q).tobytes() == np.array(old_q).tobytes()
+    assert np.float64(residual).tobytes() == np.float64(old_residual).tobytes()
+
+
+_EXTREMES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan])
+_ANY_3X3 = st.one_of(_noisy_isometries(), _3x3(st.one_of(_EXTREMES, st.floats())))
+
+
+@settings(deadline=None)
+@given(st.lists(_ANY_3X3, min_size=1, max_size=12))
+@example([[[-math.inf, 0.0, 0.0], [0.0, -math.inf, 0.0], [0.0, 0.0, -math.inf]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+def test_batch_extract_gives_the_sixteen_term_clamped_bytes_but_nan_where_the_largest_square_is_minus_inf(mats):
+    """On rotations mixed with huge, signed-zero, inf and NaN rows, each row
+    gives the bytes of the solve with sixteen terms and a clamp, NaN
+    included, but for a row whose largest square is -inf (and whose other
+    squares are NaN): its seed is now NaN, not the clamp's 0, so its
+    parameters and residual are all NaN."""
+    m = np.array(mats)
+    with np.errstate(all="ignore"):  # the NaN and inf the entries make on purpose
+        q, branch, residual = kernels.batch_extract_rotation(m)
+        table = _floats._products(kernels._component_major(m).reshape(3, 3, -1), IsometryKind.ROTATION)
+        old_branch, old_q, old_residual = _solve_with_sixteen_terms_and_a_clamp(table, kernels._Rows)
+    old_q = np.array(old_q).T
+    _, square, _ = _floats._first_max([table[i][i] for i in range(4)], [table[i][i] for i in range(4)], kernels._Rows)
+    moved = square == -np.inf
+    assert branch.tolist() == old_branch.tolist()
+    assert q[~moved].tobytes() == old_q[~moved].tobytes()
+    assert residual[~moved].tobytes() == old_residual[~moved].tobytes()
+    assert np.isnan(q[moved]).all() and np.isnan(residual[moved]).all()
 
 
 def test_strided_and_fortran_inputs_match_contiguous_copies(block_stack):
