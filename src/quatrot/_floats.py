@@ -6,21 +6,23 @@ the row-by-column product, the Gram deviation), the rank-1 step, the
 sign rule, the quaternion norm and multiplication matrices, the
 Euler-Rodrigues entries, the a00 = +-1 embedding with the extract and
 angle cores, the associate matrix's signed quarter-sums (which 3D
-extraction reads on the embedding), the 4D factor step, the compose
-product, the reconstruction error and the seeded unit-quaternion draw.
-Each matrix gets one verdict: ``_kind`` decides a 3x3 report (off the
-gate, indeterminate, or its kind) and ``_factor`` gates and factors a
-4x4 one for both ``rot4.decompose_4d`` and the CLI. A value passes a
-tolerance only as ``value <= tol``, so a NaN fails every verdict. This
-module imports only math, enum, operator, collections and quatrot's
-errors: no numpy and no dataclasses, so ``python -m quatrot`` runs on it
-alone. ``_array`` reads the CLI's matrices and every scalar API argument
-that is not a float64 ndarray. ``kernels`` runs the row formulas
-(``_er_entries``, ``_products``, ``_ordered_sum``) and the policies
-(the tie rule ``_first_max``, the sign rule ``_sign``, the solve
-``_solve``) on component rows: the policies take the namespace ``xp``,
-``_Floats`` here and ``kernels._Rows`` there, and the NaN rule the cores
-keep, numpy's, is stated once, in those two.
+extraction reads on the embedding), the compose product and the seeded
+unit-quaternion draw. The rank-1 step also gives the 4D reconstruction
+error, by the identity ||A - compose(u, v)||_F = 2 ||assoc(A) - u v^T||_F
+(see ``rot4``), so no path recomposes to measure it. Each matrix gets
+one verdict: ``_kind`` decides a 3x3 report (off the gate,
+indeterminate, or its kind) and ``_decompose`` gates, factors and
+reports a 4x4 one for both ``rot4.decompose_4d`` and the CLI. A value
+passes a tolerance only as ``value <= tol``, so a NaN fails every
+verdict. This module imports only math, enum, operator, collections and
+quatrot's errors: no numpy and no dataclasses, so ``python -m quatrot``
+runs on it alone. ``_array`` reads the CLI's matrices and every scalar
+API argument that is not a float64 ndarray. ``kernels`` runs the row
+formulas (``_er_entries``, ``_products``, ``_ordered_sum``) and the
+policies (the tie rule ``_first_max``, the sign rule ``_sign``, the
+solve ``_solve``) on component rows: the policies take the namespace
+``xp``, ``_Floats`` here and ``kernels._Rows`` there, and the NaN rule
+the cores keep, numpy's, is stated once, in those two.
 
 The summation order is fixed, so results are bit-stable and equal to
 the numpy code these cores replaced: determinants are cofactor
@@ -29,10 +31,11 @@ the four terms added from 0.0 in column order); matrix products and the
 quaternion norm add their terms left to right starting from 0.0, so an
 entry whose products are all -0.0 is 0.0; the Gram deviation is the
 largest |(A^T A - I)[i][j]| over the upper triangle's column products
-(the lower one repeats them); the reconstruction error adds its 16
-squares in the order of numpy's pairwise sum. No result is a Python
-``sum``: from Python 3.12 it adds floats with compensation, which gives
-other bits.
+(the lower one repeats them); the rank-1 step adds the 16 squares of
+its residual, and those of its reconstruction error, each in one
+row-major chain from 0.0, the order of ``kernels``' ``_ordered_sum``.
+No result is a Python ``sum``: from Python 3.12 it adds floats with
+compensation, which gives other bits.
 """
 
 from __future__ import annotations
@@ -269,7 +272,9 @@ def _normalized(x0, x1, x2, x3) -> tuple:
 
 def _rank1(rows, tol: float):
     """``linalg.rank1_factor`` of the finite 4x4 matrix with rows ``rows``,
-    for a tol in (0, 1): (u, v, residual) as floats."""
+    for a tol in (0, 1), and its reconstruction error: (u, v, residual,
+    2 ||rows - u v^T||_F) as floats. When rows is the associate matrix of
+    A, the last is ||A - compose(u, v)||_F (the identity in ``rot4``)."""
     c0, c1, c2, c3 = cols = tuple(zip(*rows))
     squares = (_dot(c0, c0), _dot(c1, c1), _dot(c2, c2), _dot(c3, c3))
     scale = math.sqrt(squares[0] + squares[1] + squares[2] + squares[3])
@@ -286,13 +291,16 @@ def _rank1(rows, tol: float):
     sign = _sign(u)
     u = (u[0] * sign, u[1] * sign, u[2] * sign, u[3] * sign)
     v0, v1, v2, v3 = v = (v[0] * sign, v[1] * sign, v[2] * sign, v[3] * sign)
-    # 0.0 + a square is that square, so the 16 add as one left-to-right chain
-    w, total = 1.0 - scale, 0.0
+    # e = x - u v^T, and the residual's d = e + (1 - scale) u v^T. 0.0 + a
+    # square is that square, so each sum of 16 is one row-major chain.
+    w, total, error = 1.0 - scale, 0.0, 0.0
     for (x0, x1, x2, x3), ui in zip(rows, u):
         p0, p1, p2, p3 = ui * v0, ui * v1, ui * v2, ui * v3
-        d0, d1, d2, d3 = x0 - p0 + p0 * w, x1 - p1 + p1 * w, x2 - p2 + p2 * w, x3 - p3 + p3 * w
+        e0, e1, e2, e3 = x0 - p0, x1 - p1, x2 - p2, x3 - p3
+        d0, d1, d2, d3 = e0 + p0 * w, e1 + p1 * w, e2 + p2 * w, e3 + p3 * w
         total = total + d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
-    return u, v, math.sqrt(total)
+        error = error + e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3
+    return u, v, math.sqrt(total), 2.0 * math.sqrt(error)
 
 
 # --- quaternions ----------------------------------------------------------------
@@ -487,36 +495,20 @@ def _compose(l, r) -> list:
     return _mat_mul(_left_rows(l), list(zip(*_right_rows(r))))
 
 
-def _frobenius_distance(a, b) -> float:
-    """||a - b||_F of two 4x4 matrices given as rows, adding the 16 squares
-    x_k as numpy's pairwise sum adds them: r_j = x_j + x_(j+8), then
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))."""
-    x = [d * d for ra, rb in zip(a, b) for d in (p - q for p, q in zip(ra, rb))]
-    r = [x[j] + x[j + 8] for j in range(8)]
-    return math.sqrt(((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
-
-
-def _factor(rows, report: OrthogonalityReport) -> tuple:
-    """(u, v, rank1_residual): the rank-1 factors of the associate matrix
-    of the finite 4x4 matrix with rows ``rows``, given its report.
-    NotARotation off the gate or for a determinant not +1, RankDeficiency
-    for a residual above tol. ``rot4.decompose_4d`` and ``_decompose``
-    both call it."""
+def _decompose(rows, report: OrthogonalityReport) -> tuple:
+    """(left, right, rank1_residual, reconstruction_error) of the finite 4x4
+    matrix with rows ``rows``, given its report: ``_rank1`` on its
+    associate matrix. NotARotation off the gate or for a determinant not
+    +1, RankDeficiency for a residual above tol. ``rot4.decompose_4d`` and
+    the CLI's ``decompose4`` and ``verify`` all call it."""
     tol = report.tolerance_used
     _require_orthonormal(report, NotARotation)
     if not abs(report.determinant - 1.0) <= tol:
         raise NotARotation(f"determinant {report.determinant!r} is not +1")
-    u, v, residual = _rank1(_associate(rows), tol)
+    u, v, residual, error = _rank1(_associate(rows), tol)
     if not residual <= tol:
         raise RankDeficiency(f"rank-1 residual {residual:.3e} > tol {tol:.3e}")
-    return u, v, residual
-
-
-def _decompose(rows, report: OrthogonalityReport) -> tuple:
-    """``rot4.decompose_4d`` of the finite 4x4 matrix with rows ``rows``,
-    given its report: (left, right, rank1_residual, reconstruction_error)."""
-    u, v, residual = _factor(rows, report)
-    return u, v, residual, _frobenius_distance(rows, _compose(_unit(u), _unit(v)))
+    return u, v, residual, error
 
 
 # --- the seeded generator ---------------------------------------------------------

@@ -20,14 +20,16 @@ The three 4D kernels share one table, ``_ASSOC``, derived at import from
 the associate entries that ``rot4.associate_matrix`` evaluates
 (``_floats._associate``): associate is vec(a) @ _ASSOC, compose is
 vec(l r^T) @ 4 _ASSOC^T, and decompose takes its reconstruction error
-from the associate matrix (the identity in ``rot4``) instead of
-recomposing. A table multiplies every entry of a row, zeros included, so
-one inf or NaN entry makes every output of its row non-finite: the
-entries of associate and compose that do not sum it become NaN (0 * inf).
-Other rows are not affected. Each table product is one GEMM per block
-(``_gemm``), its rows padded to a multiple of 8, so the block contract
-holds for these three on OpenBLAS's SkylakeX, Haswell, Zen and Prescott
-kernels alike (checked on each).
+from the associate matrix by the identity in ``rot4``, as the scalar
+rank-1 step (``_floats._rank1``) does and in its order: a row whose
+associate bytes are ``associate_matrix``'s gets ``decompose_4d``'s bytes
+in all four outputs. A table multiplies every entry of a row, zeros
+included, so one inf or NaN entry makes every output of its row
+non-finite: the entries of associate and compose that do not sum it
+become NaN (0 * inf). Other rows are not affected. Each table product
+is one GEMM per block (``_gemm``), its rows padded to a multiple of 8,
+so the block contract holds for these three on OpenBLAS's SkylakeX,
+Haswell, Zen and Prescott kernels alike (checked on each).
 
 The two 3D kernels evaluate the scalar API's formulas and policies, not
 copies of them: Euler-Rodrigues evaluates ``_floats._er_entries`` on the
@@ -211,9 +213,11 @@ def batch_decompose_4d(a: np.ndarray):
 
     u and v are (n, 4), the left and right unit quaternions with the sign
     rule applied; rank1_residual is (n,), the Frobenius distance of the
-    associate matrix from scale * outer(u, v); recon_error is (n,), the
-    Frobenius distance of the input from compose(u, v). Row i's u, v and
-    rank1_residual are ``linalg.rank1_factor(batch_associate_matrix(a)[i])``.
+    associate matrix from scale * outer(u, v); recon_error is (n,),
+    2 ||associate - outer(u, v)||_F, the Frobenius distance of the input
+    from compose(u, v) up to rounding. Row i's four outputs are the scalar
+    rank-1 step's on ``batch_associate_matrix(a)[i]``, whose first three
+    are ``linalg.rank1_factor``'s.
     """
     n = _stack(a, "a", (4, 4))
     outputs = (np.empty((n, 4)), np.empty((n, 4)), np.empty(n), np.empty(n))

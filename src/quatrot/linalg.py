@@ -120,5 +120,5 @@ def rank1_factor(m: np.ndarray, tol: float = DEFAULT_TOL):
     NonFiniteInput when ||m||_F overflows (entries above about 1.3e154).
     """
     tol = _require_tol(tol)
-    u, v, residual = _rank1(_float_rows(m, (4, 4), "mat4"), tol)
+    u, v, residual, _ = _rank1(_float_rows(m, (4, 4), "mat4"), tol)
     return np.array(u), np.array(v), residual

@@ -9,16 +9,16 @@ Quaternions are float64 numpy arrays of shape (4,). ``as_unit`` silently
 renormalizes inputs whose norm is within 1e-6 of 1 (accumulated rounding)
 and rejects anything further out (a real error, not noise). Each public
 function reads its argument once as four floats (``_float_rows``) and
-computes with the cores in ``_floats`` (``_norm``, ``_unit``,
-``_left_rows``, ``_right_rows``); the norm adds the four squares from
-0.0 in index order, which is how numpy sums fewer than eight terms.
+computes with the cores in ``_floats`` (``_unit``, ``_left_rows``,
+``_right_rows``); ``_unit``'s norm adds the four squares from 0.0 in
+index order, which is how numpy sums fewer than eight terms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._floats import _left_rows, _norm, _right_rows, _unit
+from ._floats import _left_rows, _right_rows, _unit
 from .linalg import _float_rows
 
 
@@ -45,10 +45,6 @@ def conjugate(q) -> np.ndarray:
     """(w, -x, -y, -z)."""
     w, x, y, z = _float_rows(q, (4,), "vec4")
     return np.array([w, -x, -y, -z])
-
-
-def norm(q) -> float:
-    return _norm(_float_rows(q, (4,), "vec4"))
 
 
 def left_matrix(l) -> np.ndarray:

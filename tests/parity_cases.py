@@ -147,7 +147,6 @@ def calls(inp: dict):
     for i in range(n):
         l, r = quats[i], quats[(i + 7) % n]
         yield f"as_unit/{i}", "quaternion.as_unit", (l.copy(),), {}
-        yield f"norm/{i}", "quaternion.norm", (l.copy(),), {}
         yield f"quat_mul/{i}", "quaternion.quat_mul", (l.copy(), r.copy()), {}
         yield f"conjugate/{i}", "quaternion.conjugate", (l.copy(),), {}
         yield f"left_matrix/{i}", "quaternion.left_matrix", (l.copy(),), {}
@@ -238,7 +237,6 @@ def calls(inp: dict):
             (0, "quaternion.as_unit", (_bad(q0, what),)),
             (1, "quaternion.quat_mul", (q0.copy(), _bad(q0, what))),
             (2, "quaternion.conjugate", (_bad(q0, what),)),
-            (3, "quaternion.norm", (_bad(q0, what),)),
             (4, "quaternion.left_matrix", (_bad(q0, what),)),
             (5, "quaternion.right_matrix", (_bad(q0, what),)),
             (6, "rot3.euler_rodrigues", (_bad(q0, what),)),

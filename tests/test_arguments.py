@@ -42,7 +42,6 @@ CASES = {
     "as_unit": (quaternion.as_unit, (Q,), ([0, 1, 0, 0],), ("vec4",)),
     "quat_mul": (quaternion.quat_mul, (Q, R), ([0, 1, 0, 0], [0, 0, 1, 1]), ("vec4", "vec4")),
     "conjugate": (quaternion.conjugate, (Q,), ([1, 1, 0, 1],), ("vec4",)),
-    "norm": (quaternion.norm, (Q,), ([1, 1, 0, 1],), ("vec4",)),
     "left_matrix": (quaternion.left_matrix, (Q,), ([0, 0, 1, 0],), ("vec4",)),
     "right_matrix": (quaternion.right_matrix, (R,), ([0, 0, 0, 1],), ("vec4",)),
     "mat_mul3": (linalg.mat_mul, (M3, -M3.T), (np.eye(3)[[1, 2, 0]], np.eye(3)[[0, 2, 1]]), ("matrix", "matrix")),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cli_cases import GOLDEN_CASES, GOLDEN_DIR, cli_outcome
+from cli_cases import GOLDEN_CASES, GOLDEN_DIR, PARSE_CASES, cli_outcome
 from stream_cases import STREAM_CASES, stream_outcome
 from quatrot import _floats, cli, linalg, rot3
 from quatrot.errors import QuatrotError
@@ -445,6 +445,26 @@ def test_ragged_or_non_numeric_rows_are_parse_errors(args, text, monkeypatch, ca
     payload = json.loads(err)
     assert payload["error"] == "parse_error"
     assert payload["detail"].startswith("matrix is not rectangular numeric data: ")
+
+
+PARSE_DETAILS = {
+    "bad number": "bad number in plain input: could not convert string to float: 'one'",
+    "no matrix key": 'expected an object with a "matrix" key',
+    "fifth key": 'quaternion must be an object with keys "w","x","y","z"',
+    "three numbers": "expected 4 numbers (w x y z), got 3",
+    "no right": 'expected an object with "left" and "right" quaternions',
+    "one line of eight": "expected two lines of 4 numbers (left, then right)",
+}
+
+
+@pytest.mark.parametrize("label", sorted(PARSE_CASES))
+def test_each_input_parser_branch_gives_its_exit_code_and_detail(label):
+    argv, stdin = PARSE_CASES[label]
+    _, code, out, err = cli_outcome(argv, stdin)
+    if label == "blank line":
+        assert code == 0 and [out, err] == cli_outcome(argv, stdin.replace("\n\n", "\n"))[2:]
+    else:
+        assert (code, out, json.loads(err)) == (2, "", {"error": "parse_error", "detail": PARSE_DETAILS[label]})
 
 
 def test_json_nested_too_deep_to_decode_is_a_parse_error(monkeypatch, capsys):

@@ -168,10 +168,10 @@ def test_decompose_rejects_an_overflowing_gram_matrix():
 
 def test_rank_deficiency_is_surfaced(monkeypatch):
     # {orthogonal, det +1} implies rank-1 associate, so this gate is
-    # defensive; force a fat residual to check it trips in _floats._factor,
+    # defensive; force a fat residual to check it trips in _floats._decompose,
     # for decompose_4d and for the CLI's decompose4 alike
     def fake_rank1(m, tol):
-        return (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), 1.0
+        return (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), 1.0, 0.0
 
     monkeypatch.setattr(quatrot._floats, "_rank1", fake_rank1)
     with pytest.raises(RankDeficiency, match=r"^rank-1 residual 1\.000e\+00 > tol 1\.000e-09$"):
