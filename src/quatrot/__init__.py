@@ -33,7 +33,6 @@ _EXPORTS = {
     "QuatPairDecomposition": "rot4",
     "QuatrotError": "errors",
     "RankDeficiency": "errors",
-    "Xorshift64Star": "rng",
     "ZeroMatrix": "errors",
     "as_unit": "quaternion",
     "associate_matrix": "rot4",

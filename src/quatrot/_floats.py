@@ -27,9 +27,11 @@ the cores keep, numpy's, is stated once, in those two.
 The summation order is fixed, so results are bit-stable and equal to
 the numpy code these cores replaced: determinants are cofactor
 expansions along row 0 (for 4x4, each 3x3 minor expanded the same way,
-the four terms added from 0.0 in column order); matrix products and the
-quaternion norm add their terms left to right starting from 0.0, so an
-entry whose products are all -0.0 is 0.0; the Gram deviation is the
+the four terms added from 0.0 in column order); matrix products add
+their terms left to right starting from 0.0, so an entry whose products
+are all -0.0 is 0.0; the quaternion norm is sqrt(``_dot(q, q)``), the
+squares added left to right (none is -0.0, so it needs no 0.0 start, and
+``quaternion.quat_mul`` adds ``_dot``s too); the Gram deviation is the
 largest |(A^T A - I)[i][j]| over the upper triangle's column products
 (the lower one repeats them); the rank-1 step adds the 16 squares of
 its residual, and those of its reconstruction error, each in one
@@ -265,9 +267,13 @@ def _dot(x, y) -> float:
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
 
 
-def _normalized(x0, x1, x2, x3) -> tuple:
-    norm = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
-    return x0 / norm, x1 / norm, x2 / norm, x3 / norm
+def _norm(q) -> float:
+    return math.sqrt(_dot(q, q))
+
+
+def _normalized(*x) -> tuple:
+    norm = _norm(x)
+    return x[0] / norm, x[1] / norm, x[2] / norm, x[3] / norm
 
 
 def _rank1(rows, tol: float):
@@ -304,11 +310,6 @@ def _rank1(rows, tol: float):
 
 
 # --- quaternions ----------------------------------------------------------------
-
-def _norm(q) -> float:
-    w, x, y, z = q
-    return math.sqrt(0.0 + w * w + x * x + y * y + z * z)
-
 
 def _unit(q) -> list:
     """The four floats of q divided by its norm; NotUnit outside the window."""

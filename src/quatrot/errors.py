@@ -11,8 +11,7 @@ stack's shape.
 ``except QuatrotError`` does not yet catch everything the package raises.
 A plain ValueError comes from a ``tol`` outside (0, 1) (or not a number),
 a ``dim`` other than 3 or 4 and a seed that is not an integer in
-[0, 2**64); an AttributeError from an ``rng`` that is not an
-``Xorshift64Star``. ``except ValueError`` catches all but the last.
+[0, 2**64), so ``except ValueError`` catches them all.
 """
 
 

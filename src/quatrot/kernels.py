@@ -177,7 +177,9 @@ def _associate_matrix(a: np.ndarray, out: np.ndarray) -> None:
 
 
 def batch_associate_matrix(a: np.ndarray) -> np.ndarray:
-    """(n, 4, 4) matrices -> (n, 4, 4) associate matrices."""
+    """(n, 4, 4) matrices -> (n, 4, 4) associate matrices, with ``associate_matrix``'s
+    values; but a zero has the other sign on 128 of the 192 signed permutation matrices
+    with det +1, where ``batch_decompose_4d`` still gives ``decompose_4d``'s bytes."""
     (out,) = _blocked(_associate_matrix, (a,), (np.empty((_stack(a, "a", (4, 4)), 4, 4)),))
     return out
 

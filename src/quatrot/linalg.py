@@ -2,9 +2,9 @@
 
 Values are plain float64 numpy arrays: shape (4,) vectors, (3, 3) and
 (4, 4) matrices. Each public function of the scalar API (here and in
-quaternion, rot3 and rot4) reads each argument once with ``_float_rows``:
-a float64 ndarray as it is, anything else through ``_floats._array``, the
-CLI's reader, then a shape check, ``tolist()`` and a finiteness check. It
+quaternion, rot3 and rot4) reads each argument once with ``_read``: a
+float64 ndarray by ``tolist()``, anything else by ``_floats._array``, the
+CLI's reader; then ``_float_rows`` checks the shape and finiteness. It
 hands those floats to the cores in ``_floats`` and returns ``np.array`` of
 their result (``rot3`` gates its floats with ``_report``). An argument
 that is not an array of real numbers (a complex or non-numeric entry, a
@@ -36,28 +36,25 @@ from ._floats import (
 from .errors import NonFiniteInput
 
 
-def _ndarray(a, name: str) -> np.ndarray:
-    """a as a float64 ndarray: itself, or what ``_floats._array`` reads of it (of
-    ``np.asarray(a)`` if only ``__array__`` has it); else NonFiniteInput naming ``name``."""
+def _read(a, name: str) -> tuple:
+    """(values, shape) of a float64 ndarray, else what ``_floats._array`` reads of a
+    (of ``np.asarray(a)`` if only ``__array__`` has it); else NonFiniteInput naming ``name``."""
     if type(a) is np.ndarray and a.dtype.char == "d":
-        return a
+        return a.tolist(), a.shape
     if not hasattr(a, "tolist") and hasattr(a, "__array__"):
         a = np.asarray(a)
     try:
-        return np.array(_array(a)[0])
+        return _array(a)
     except (TypeError, ValueError, OverflowError):
         raise NonFiniteInput(f"{name}: entries must be finite real numbers") from None
 
 
 def _float_rows(a, shape: tuple, name: str) -> list:
-    """a's entries as (nested lists of) Python floats, converting only what is
-    not a float64 ndarray; NonFiniteInput naming ``name`` for a non-numeric
-    argument, another shape, NaN or Inf."""
-    if type(a) is not np.ndarray or a.dtype.char != "d":
-        a = _ndarray(a, name)
-    if a.shape != shape:
-        raise NonFiniteInput(f"{name}: expected shape {shape}, got {a.shape}")
-    rows = a.tolist()
+    """a's entries as (nested lists of) Python floats, read by ``_read``; NonFiniteInput
+    naming ``name`` for a non-numeric argument, another shape, NaN or Inf."""
+    rows, got = _read(a, name)
+    if got != shape:
+        raise NonFiniteInput(f"{name}: expected shape {shape}, got {got}")
     _require_finite(chain(*rows) if len(shape) == 2 else rows, name)
     return rows
 
@@ -82,12 +79,11 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     from 0.0, so that golden tests are reproducible bit-for-bit on one
     platform. Accepts 3x3 or 4x4 pairs.
     """
-    a, b = _ndarray(a, "matrix"), _ndarray(b, "matrix")
-    shape = a.shape
-    if shape != b.shape or shape not in ((3, 3), (4, 4)):
-        raise NonFiniteInput(f"matrix product: incompatible shapes {shape}, {b.shape}")
-    rows = _float_rows(a, shape, "matrix")
-    return np.array(_mat_mul(rows, list(zip(*_float_rows(b, shape, "matrix")))))
+    (a, shape), (b, b_shape) = _read(a, "matrix"), _read(b, "matrix")
+    if shape != b_shape or shape not in ((3, 3), (4, 4)):
+        raise NonFiniteInput(f"matrix product: incompatible shapes {shape}, {b_shape}")
+    _require_finite(chain(*a, *b), "matrix")
+    return np.array(_mat_mul(a, list(zip(*b))))
 
 
 def check_orthonormal(m: np.ndarray, tol: float = DEFAULT_TOL) -> OrthogonalityReport:
@@ -99,11 +95,11 @@ def check_orthonormal(m: np.ndarray, tol: float = DEFAULT_TOL) -> OrthogonalityR
     The report is ``_floats._orthogonality``'s, as in ``rot3`` and the CLI.
     """
     tol = _require_tol(tol)
-    m = _ndarray(m, "matrix")
-    if m.shape not in ((3, 3), (4, 4)):
-        raise NonFiniteInput(f"orthonormality check: expected 3x3 or 4x4, got {m.shape}")
-    rows = _float_rows(m, m.shape, f"mat{m.shape[0]}")
-    mat_mul(m.T, m)  # unread: kept while perfbench pins 2 mat_mul calls per decompose_4d (item 6)
+    rows, shape = _read(m, "matrix")
+    if shape not in ((3, 3), (4, 4)):
+        raise NonFiniteInput(f"orthonormality check: expected 3x3 or 4x4, got {shape}")
+    _require_finite(chain(*rows), f"mat{shape[0]}")
+    mat_mul(m, m)  # unread: kept while perfbench pins 2 mat_mul calls per decompose_4d (item 6)
     return _orthogonality(rows, tol)
 
 

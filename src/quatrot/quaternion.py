@@ -10,15 +10,15 @@ renormalizes inputs whose norm is within 1e-6 of 1 (accumulated rounding)
 and rejects anything further out (a real error, not noise). Each public
 function reads its argument once as four floats (``_float_rows``) and
 computes with the cores in ``_floats`` (``_unit``, ``_left_rows``,
-``_right_rows``); ``_unit``'s norm adds the four squares from 0.0 in
-index order, which is how numpy sums fewer than eight terms.
+``_right_rows``, ``_dot``): a * b is M_R(b) a, and ``_unit``'s norm is
+``_dot(q, q)``, the four squares added in index order, as numpy adds them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._floats import _left_rows, _right_rows, _unit
+from ._floats import _dot, _left_rows, _right_rows, _unit
 from .linalg import _float_rows
 
 
@@ -28,17 +28,9 @@ def as_unit(q) -> np.ndarray:
 
 
 def quat_mul(a, b) -> np.ndarray:
-    """Hamilton product a * b."""
-    aw, ax, ay, az = _float_rows(a, (4,), "vec4")
-    bw, bx, by, bz = _float_rows(b, (4,), "vec4")
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
+    """Hamilton product a * b: M_R(b) @ a, row by row (``_dot``)."""
+    a = _float_rows(a, (4,), "vec4")
+    return np.array([_dot(row, a) for row in _right_rows(_float_rows(b, (4,), "vec4"))])
 
 
 def conjugate(q) -> np.ndarray:

@@ -12,23 +12,24 @@ forbidden xorshift state) is replaced by a fixed nonzero constant.
 
 Unit quaternions are sampled uniformly on the 3-sphere: four independent
 standard normals, normalized (redrawn in the measure-zero case of a tiny
-norm). A random 3D rotation applies the closed-form matrix to one such
-quaternion; a random 4D rotation composes the left/right multiplication
-matrices of two of them. The generator and both draws are written once,
-in ``_floats``, on Python floats (``Xorshift64Star`` is ``_floats``' own
-class), so the CLI's ``random`` runs them without numpy; the functions
-here return numpy arrays of their results.
+norm). A seed's first draw is ``random_unit_quaternion(seed)``, and a
+random 3D rotation is its closed-form matrix; a random 4D rotation
+composes the left/right multiplication matrices of the first two. The
+generator (not public) and the draws are written once, in ``_floats``, on
+Python floats, so the CLI's ``random`` runs them without numpy; the
+functions here take a seed and return numpy arrays of their results.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._floats import Xorshift64Star, _random_rotation, _random_unit_quaternion
+from ._floats import Xorshift64Star as _Xorshift64Star, _random_rotation, _random_unit_quaternion
 
 
-def random_unit_quaternion(rng: Xorshift64Star) -> np.ndarray:
-    return np.array(_random_unit_quaternion(rng))
+def random_unit_quaternion(seed: int) -> np.ndarray:
+    """Seeded unit quaternion: the draw that ``random_rotation(seed, 3)`` turns into a matrix."""
+    return np.array(_random_unit_quaternion(_Xorshift64Star(seed)))
 
 
 def random_rotation(seed: int, dim: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 from cli_cases import GOLDEN_CASES, GOLDEN_DIR
 import quatrot.kernels as kernels
 from quatrot.errors import NotARotation
-from quatrot.rng import Xorshift64Star, random_unit_quaternion
+from quatrot._floats import Xorshift64Star, _random_unit_quaternion
 from quatrot.rot3 import (
     IsometryKind,
     displaced_angle_cos,
@@ -34,7 +34,7 @@ def _report(name: str, ok: bool, detail: str):
 
 
 def _quat_batch(rng, n):
-    return np.stack([random_unit_quaternion(rng) for _ in range(n)])
+    return np.stack([_random_unit_quaternion(rng) for _ in range(n)])
 
 
 def _axis_angle_quat(rng, angle):
@@ -193,7 +193,7 @@ def test_criterion_6_embedding_coherence():
     worst_rot = 0.0
     worst_refl = 0.0
     for _ in range(1000):
-        q = random_unit_quaternion(rng)
+        q = _random_unit_quaternion(rng)
         m = euler_rodrigues(q)
         dec = decompose_4d(embed_4d(m, IsometryKind.ROTATION))
         conj = np.array([dec.left[0], -dec.left[1], -dec.left[2], -dec.left[3]])
@@ -215,7 +215,7 @@ def test_criterion_7_trace_formulas():
     worst_rot = 0.0
     worst_refl = 0.0
     for _ in range(10_000):
-        q = random_unit_quaternion(rng)
+        q = _random_unit_quaternion(rng)
         alpha = 2.0 * math.atan2(np.linalg.norm(q[1:]), abs(q[0]))
         got = rotation_angle(euler_rodrigues(q), IsometryKind.ROTATION).alpha
         worst_rot = max(worst_rot, abs(got - alpha))

@@ -508,7 +508,7 @@ def _cli_reading(data):
 
 def _library_reading(data):
     try:
-        return linalg._ndarray(data, "matrix").tolist(), linalg.check_orthonormal(data)
+        return linalg._read(data, "matrix")[0], linalg.check_orthonormal(data)
     except QuatrotError:
         return None
 

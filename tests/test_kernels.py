@@ -15,11 +15,10 @@ from hypothesis.extra.numpy import arrays
 
 import quatrot.kernels as kernels
 from quatrot import _floats
-from quatrot._floats import IsometryKind
+from quatrot._floats import IsometryKind, Xorshift64Star, _random_unit_quaternion
 from quatrot.errors import NonFiniteInput
 from quatrot.linalg import SIGN_EPS, canonical_sign, rank1_factor
 from quatrot.quaternion import as_unit
-from quatrot.rng import Xorshift64Star, random_unit_quaternion
 from quatrot.rot3 import BRANCHES, euler_rodrigues, extract_rotation
 from quatrot.rot4 import associate_matrix, compose_4d, decompose_4d
 
@@ -28,8 +27,8 @@ from quatrot.rot4 import associate_matrix, compose_4d, decompose_4d
 def samples():
     rng = Xorshift64Star(900)
     n = 200
-    left = np.stack([random_unit_quaternion(rng) for _ in range(n)])
-    right = np.stack([random_unit_quaternion(rng) for _ in range(n)])
+    left = np.stack([_random_unit_quaternion(rng) for _ in range(n)])
+    right = np.stack([_random_unit_quaternion(rng) for _ in range(n)])
     return left, right
 
 

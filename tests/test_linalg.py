@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatrot import rot3, rot4
-from quatrot._floats import _det3, _det4, _mat_mul, _orthogonality
+from quatrot._floats import Xorshift64Star, _det3, _det4, _mat_mul, _orthogonality, _random_unit_quaternion
 from quatrot.errors import NonFiniteInput, QuatrotError, ZeroMatrix
 from quatrot.linalg import (
     _float_rows,
@@ -18,7 +18,7 @@ from quatrot.linalg import (
     rank1_factor,
 )
 from quatrot.quaternion import left_matrix, right_matrix
-from quatrot.rng import Xorshift64Star, random_rotation, random_unit_quaternion
+from quatrot.rng import random_rotation
 
 
 def test_mat_mul_identity():
@@ -52,8 +52,8 @@ def _product_expansion(l, r):
 def test_mat_mul_matches_entrywise_expansion():
     rng = Xorshift64Star(101)
     for _ in range(50):
-        l = random_unit_quaternion(rng)
-        r = random_unit_quaternion(rng)
+        l = _random_unit_quaternion(rng)
+        r = _random_unit_quaternion(rng)
         got = mat_mul(left_matrix(l), right_matrix(r))
         np.testing.assert_allclose(got, _product_expansion(l, r), atol=1e-15)
 
@@ -240,8 +240,8 @@ def test_det_oracle_against_numpy():
 def test_transpose_gram_deviation_agrees_for_rotations():
     rng = Xorshift64Star(55)
     for _ in range(20):
-        a = mat_mul(left_matrix(random_unit_quaternion(rng)),
-                    right_matrix(random_unit_quaternion(rng)))
+        a = mat_mul(left_matrix(_random_unit_quaternion(rng)),
+                    right_matrix(_random_unit_quaternion(rng)))
         dev_t = check_orthonormal(a.T, 1e-9).max_abs_gram_deviation
         dev = check_orthonormal(a, 1e-9).max_abs_gram_deviation
         assert abs(dev - dev_t) <= 1e-13
@@ -285,8 +285,8 @@ def test_rank1_overflowing_frobenius_norm_rejected():
 def test_rank1_random_outer_products_roundtrip():
     rng = Xorshift64Star(77)
     for _ in range(100):
-        u0 = random_unit_quaternion(rng)
-        v0 = random_unit_quaternion(rng)
+        u0 = _random_unit_quaternion(rng)
+        v0 = _random_unit_quaternion(rng)
         scale = 0.1 + 5.0 * rng.uniform()
         m = scale * np.outer(u0, v0)
         u, v, residual = rank1_factor(m, 1e-9)

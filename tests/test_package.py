@@ -1,6 +1,6 @@
 """The package loads its names lazily and binds each to its defining
-object, the README lists them by module, and its result types are
-immutable named tuples."""
+object, the README lists them by module and its quick tour runs, and its
+result types are immutable named tuples."""
 
 import importlib
 import math
@@ -42,6 +42,13 @@ def test_the_readmes_public_names_are_all_by_module():
             listed[name] = module
     assert listed == quatrot._EXPORTS
     assert f"holds {len(quatrot.__all__)} names" in section
+
+
+def test_the_readmes_quick_tour_runs():
+    """The README's python block imports and calls only what the package has."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (tour,) = [block.split("```", 1)[0] for block in readme.split("```python\n")[1:]]
+    exec(compile(tour, "README.md", "exec"), {})
 
 
 def test_an_unknown_name_raises_attribute_error():

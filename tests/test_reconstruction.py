@@ -135,6 +135,15 @@ def test_the_signed_permutations_give_one_set_of_bytes_on_every_path():
         assert _one_set_of_bytes(a), a
 
 
+def test_the_kernels_associate_values_are_the_scalar_ones_on_the_signed_permutations():
+    # equal values; where the bytes differ, only the sign of a zero does
+    batch = kernels.batch_associate_matrix(SIGNED_PERMUTATIONS)
+    scalar = np.array([associate_matrix(a) for a in SIGNED_PERMUTATIONS])
+    assert np.array_equal(batch, scalar)
+    differ = np.signbit(batch) != np.signbit(scalar)
+    assert np.all(scalar[differ] == 0.0)
+
+
 def _no_product(*args):
     raise AssertionError("a matrix product")
 

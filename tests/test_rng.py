@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from quatrot.linalg import check_orthonormal
-from quatrot.rng import Xorshift64Star, random_rotation, random_unit_quaternion
+from quatrot._floats import Xorshift64Star, _random_unit_quaternion
+from quatrot.rng import random_rotation, random_unit_quaternion
+from quatrot.rot3 import euler_rodrigues
 from quatrot.rot4 import decompose_4d
 
 
@@ -33,8 +35,19 @@ def test_normal_moments():
 def test_random_unit_quaternion_is_unit():
     rng = Xorshift64Star(3)
     for _ in range(100):
-        q = random_unit_quaternion(rng)
+        q = _random_unit_quaternion(rng)
         assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_a_seeds_unit_quaternion_is_the_first_draw_of_its_stream():
+    for seed in (0, 1, 7, 2**64 - 1):
+        want = np.array(_random_unit_quaternion(Xorshift64Star(seed)))
+        assert random_unit_quaternion(seed).tobytes() == want.tobytes()
+
+
+def test_random_rotation_3d_is_euler_rodrigues_of_the_seeds_unit_quaternion():
+    for seed in range(3000):
+        assert random_rotation(seed, 3).tobytes() == euler_rodrigues(random_unit_quaternion(seed)).tobytes(), seed
 
 
 def test_random_rotation_3d_is_orthonormal():
@@ -75,7 +88,8 @@ def test_random_rotation_bad_dim():
     ],
 )
 def test_a_seed_outside_the_cli_rule_is_rejected(seed, message):
-    for make in (Xorshift64Star, lambda s: random_rotation(s, 3), lambda s: random_rotation(s, 4)):
+    makers = (Xorshift64Star, random_unit_quaternion, lambda s: random_rotation(s, 3), lambda s: random_rotation(s, 4))
+    for make in makers:
         with pytest.raises(ValueError) as exc:
             make(seed)
         assert type(exc.value) is ValueError and str(exc.value) == message
@@ -88,5 +102,6 @@ def test_numpy_integer_seeds_give_the_int_seeds_stream(seed):
     for same in [np.uint64(seed)] + ([np.int64(seed)] if seed < 2**63 else []):
         rng = Xorshift64Star(same)
         assert [rng.next_u64() for _ in range(4)] == want
+        assert random_unit_quaternion(same).tobytes() == random_unit_quaternion(seed).tobytes()
         for dim in (3, 4):
             assert random_rotation(same, dim).tobytes() == random_rotation(seed, dim).tobytes()

@@ -23,8 +23,7 @@ from quatrot.kernels import batch_extract_rotation
 from quatrot.linalg import OrthogonalityReport, _report
 from quatrot.quaternion import conjugate
 from quatrot.rot4 import associate_matrix
-from quatrot.rng import Xorshift64Star, random_unit_quaternion
-from quatrot._floats import _embedding, _products, _require_orthonormal
+from quatrot._floats import Xorshift64Star, _embedding, _products, _random_unit_quaternion, _require_orthonormal
 from quatrot.rot3 import (
     IsometryKind,
     _extract,
@@ -82,7 +81,7 @@ def test_rotoreflection_xy_mirror():
 def test_rotoreflection_is_negated_rotation():
     rng = Xorshift64Star(31)
     for _ in range(200):
-        q = random_unit_quaternion(rng)
+        q = _random_unit_quaternion(rng)
         assert np.max(np.abs(rotoreflection_matrix(q) + euler_rodrigues(q))) <= 1e-15
 
 
@@ -96,7 +95,7 @@ def test_classify_trivial():
 def test_classify_random_rotations():
     rng = Xorshift64Star(32)
     for _ in range(100):
-        assert classify(euler_rodrigues(random_unit_quaternion(rng))) is IsometryKind.ROTATION
+        assert classify(euler_rodrigues(_random_unit_quaternion(rng))) is IsometryKind.ROTATION
 
 
 def test_classify_rejects_non_orthogonal():
@@ -126,7 +125,7 @@ def test_extract_half_turn_about_z():
 
 def test_extract_roundtrip_including_extreme_angles():
     rng = Xorshift64Star(33)
-    samples = [random_unit_quaternion(rng) for _ in range(2000)]
+    samples = [_random_unit_quaternion(rng) for _ in range(2000)]
     for _ in range(200):
         axis = [rng.normal(), rng.normal(), rng.normal()]
         samples.append(_quat_from_axis_angle(axis, 1e-8 * rng.uniform()))
@@ -149,7 +148,7 @@ def test_extract_near_pi_uses_non_scalar_branch():
 def test_extract_sign_convention():
     rng = Xorshift64Star(35)
     for _ in range(200):
-        q = random_unit_quaternion(rng)
+        q = _random_unit_quaternion(rng)
         params = extract_rotation(euler_rodrigues(q)).params
         for comp in params:
             if abs(comp) > 1e-12:
@@ -183,7 +182,7 @@ def test_extract_rotoreflection_examples():
 def test_extract_rotoreflection_roundtrip():
     rng = Xorshift64Star(37)
     for _ in range(500):
-        q = random_unit_quaternion(rng)
+        q = _random_unit_quaternion(rng)
         result = extract_rotoreflection(rotoreflection_matrix(q))
         assert result.residual <= 1e-12
         assert _quat_close_up_to_sign(result.params, q, 1e-12)
@@ -199,7 +198,7 @@ def test_extract_rotoreflection_rejects_rotation():
 def test_all_ten_equations_hold_for_extracted_parameters():
     rng = Xorshift64Star(38)
     for _ in range(200):
-        m = euler_rodrigues(random_unit_quaternion(rng))
+        m = euler_rodrigues(_random_unit_quaternion(rng))
         a, b, c, d = extract_rotation(m).params
         checks = [
             (a * a, (1 + m[0, 0] + m[1, 1] + m[2, 2]) / 4),
@@ -220,7 +219,7 @@ def test_all_ten_equations_hold_for_extracted_parameters():
 def test_diagonal_bounds_and_quarter_trace():
     rng = Xorshift64Star(39)
     for _ in range(500):
-        q = random_unit_quaternion(rng)
+        q = _random_unit_quaternion(rng)
         m = euler_rodrigues(q)
         cos_alpha = rotation_angle(m, IsometryKind.ROTATION).cos_alpha
         # (1 + trace)/4 >= 0 and each diagonal entry >= cos(alpha)
@@ -248,7 +247,7 @@ def test_angle_trivial_cases():
 def test_angle_matches_generating_quaternion():
     rng = Xorshift64Star(40)
     for _ in range(500):
-        q = random_unit_quaternion(rng)
+        q = _random_unit_quaternion(rng)
         alpha = 2 * math.acos(min(1.0, abs(q[0])))
         got = rotation_angle(euler_rodrigues(q), IsometryKind.ROTATION).alpha
         assert got == pytest.approx(alpha, abs=1e-9)
@@ -362,7 +361,7 @@ def test_embed_kind_mismatch():
 def test_embedded_rotation_decomposes_into_conjugate_pair():
     rng = Xorshift64Star(41)
     for _ in range(200):
-        q = random_unit_quaternion(rng)
+        q = _random_unit_quaternion(rng)
         m = euler_rodrigues(q)
         dec = decompose_4d(embed_4d(m, IsometryKind.ROTATION))
         assert _quat_close_up_to_sign(dec.left, extract_rotation(m).params, 1e-12)
@@ -372,7 +371,7 @@ def test_embedded_rotation_decomposes_into_conjugate_pair():
 def test_embedded_rotoreflection_right_factor():
     rng = Xorshift64Star(42)
     for _ in range(200):
-        q = random_unit_quaternion(rng)
+        q = _random_unit_quaternion(rng)
         m = rotoreflection_matrix(q)
         dec = decompose_4d(embed_4d(m, IsometryKind.ROTOREFLECTION))
         a, b, c, d = dec.left

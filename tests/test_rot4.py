@@ -9,7 +9,7 @@ from cli_cases import cli_outcome
 from quatrot.errors import NotARotation, RankDeficiency
 from quatrot.linalg import mat_mul, rank1_factor
 from quatrot.quaternion import left_matrix, right_matrix
-from quatrot.rng import Xorshift64Star, random_unit_quaternion
+from quatrot._floats import Xorshift64Star, _random_unit_quaternion
 from quatrot.rot4 import associate_matrix, compose_4d, decompose_4d
 
 S2 = math.sqrt(2.0) / 2.0
@@ -34,8 +34,8 @@ def test_compose_right_identity_is_left_matrix():
 def test_compose_top_left_entry():
     rng = Xorshift64Star(21)
     for _ in range(50):
-        l = random_unit_quaternion(rng)
-        r = random_unit_quaternion(rng)
+        l = _random_unit_quaternion(rng)
+        r = _random_unit_quaternion(rng)
         a = compose_4d(l, r)
         expected = l[0] * r[0] - l[1] * r[1] - l[2] * r[2] - l[3] * r[3]
         assert a[0, 0] == pytest.approx(expected, abs=1e-15)
@@ -92,7 +92,7 @@ def test_associate_is_linear():
 def test_associate_norm_and_rank_for_rotations():
     rng = Xorshift64Star(22)
     for _ in range(200):
-        a = compose_4d(random_unit_quaternion(rng), random_unit_quaternion(rng))
+        a = compose_4d(_random_unit_quaternion(rng), _random_unit_quaternion(rng))
         m = associate_matrix(a)
         assert abs(np.sqrt(np.sum(m * m)) - 1.0) <= 1e-12
         dec = decompose_4d(a, 1e-9)
@@ -116,8 +116,8 @@ def test_decompose_embedded_z_quarter_turn():
 def test_decompose_roundtrip_paired_signs():
     rng = Xorshift64Star(23)
     for _ in range(1000):
-        l = random_unit_quaternion(rng)
-        r = random_unit_quaternion(rng)
+        l = _random_unit_quaternion(rng)
+        r = _random_unit_quaternion(rng)
         dec = decompose_4d(compose_4d(l, r))
         direct = max(np.max(np.abs(dec.left - l)), np.max(np.abs(dec.right - r)))
         flipped = max(np.max(np.abs(dec.left + l)), np.max(np.abs(dec.right + r)))
@@ -141,7 +141,7 @@ def test_decompose_rejects_det_minus_one():
     rng = Xorshift64Star(24)
     flip = np.diag([-1.0, 1.0, 1.0, 1.0])
     for _ in range(20):
-        a = compose_4d(random_unit_quaternion(rng), random_unit_quaternion(rng))
+        a = compose_4d(_random_unit_quaternion(rng), _random_unit_quaternion(rng))
         with pytest.raises(NotARotation):
             decompose_4d(flip @ a)
 
